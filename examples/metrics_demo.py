@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Metrics demo: the windowed telemetry plane on a live run.
 
-Installs a ``MetricsHubPlan`` so every ``System`` built while the plan
-is active gets a ``MetricsHub``: windowed rate/gauge/histogram
+Attaches a ``MetricsHubPlan`` so every ``System`` built inside the
+``attached`` scope gets a ``MetricsHub``: windowed rate/gauge/histogram
 estimators fed by the stack's tracepoints, flushed by weak simulator
 ticks that never perturb simulated time.  Runs the paper's Figure 2
 microbenchmark under the hub, prints a ``gtop``-style frame, reads a
@@ -10,7 +10,7 @@ few metrics through the ``hub.read(name, window)`` API, and shows the
 Prometheus text exposition.
 
 The load-bearing property: the run is byte-identical with or without
-the hub attached (see tests/test_metrics_determinism.py).
+the hub attached (see tests/test_determinism_matrix.py).
 
 Run:  python examples/metrics_demo.py
 """
@@ -19,16 +19,13 @@ from repro import experiments
 from repro.metrics import MetricsHubPlan
 from repro.metrics.cli import render_frame
 from repro.metrics.export import prometheus_text
-from repro.probes.tracepoints import clear_global_plan, install_global_plan
+from repro.probes import attached
 
 
 def main() -> None:
     plan = MetricsHubPlan(window_ns=10_000.0)
-    install_global_plan(plan)
-    try:
+    with attached(plan):
         result = experiments.run("fig2")
-    finally:
-        clear_global_plan()
 
     hub = plan.hub
     assert hub is not None, "fig2 builds a System, the plan must fire"

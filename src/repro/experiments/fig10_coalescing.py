@@ -17,21 +17,10 @@ READ_SIZES = (64, 1024, 16384, 65536)
 COALESCE = CoalescingConfig(window_ns=10_000, max_batch=8)
 
 
-def latency_per_byte(
-    read_bytes: int,
-    coalescing: Optional[CoalescingConfig],
-    setup=None,
-) -> float:
+def latency_per_byte(read_bytes: int, coalescing: Optional[CoalescingConfig]) -> float:
     """ns per requested byte for 64 concurrent preads, each from its own
-    wavefront (so each is its own interrupt + task when uncoalesced).
-
-    ``setup(system)``, if given, runs before any work is issued — the
-    seam the probes tests use to attach policy programs that reproduce a
-    coalescing sensitivity point through the hook path.
-    """
+    wavefront (so each is its own interrupt + task when uncoalesced)."""
     system = System(config=MachineConfig(), coalescing=coalescing)
-    if setup is not None:
-        setup(system)
     total = read_bytes * NUM_WORKITEMS
     system.kernel.fs.create_file("/tmp/data", b"\xcd" * total)
     bufs = [system.memsystem.alloc_buffer(read_bytes) for _ in range(NUM_WORKITEMS)]

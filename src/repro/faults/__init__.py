@@ -31,8 +31,6 @@ from repro.faults.plan import (
     FAULT_HOOKS,
     FaultInjector,
     FaultPlan,
-    clear_global_fault_plan,
-    install_global_fault_plan,
     install_plan,
 )
 from repro.oskernel.workqueue import DrainTimeout
@@ -47,8 +45,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "check_invariants",
-    "clear_global_fault_plan",
-    "install_global_fault_plan",
     "install_plan",
     "record_fault_stream",
     "recovery_stats",

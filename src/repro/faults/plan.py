@@ -36,11 +36,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.oskernel.errors import Errno
 from repro.probes import policy as policy_mod
-from repro.probes.tracepoints import (
-    ProbeRegistry,
-    clear_global_plan,
-    install_global_plan,
-)
+from repro.probes.tracepoints import ProbeRegistry
 from repro.workloads.base import DeterministicRandom
 
 #: Hooks a FaultInjector may attach to, in the order they are wired.
@@ -387,18 +383,3 @@ class FaultInjector:
 def install_plan(plan: FaultPlan, registry: ProbeRegistry) -> FaultInjector:
     """Attach ``plan`` to an already-built machine's registry."""
     return FaultInjector(plan, registry)
-
-
-def install_global_fault_plan(plan: FaultPlan) -> None:
-    """Arrange for every subsequently constructed ``System`` to get
-    ``plan`` attached (rides the probes global attach plan, so it
-    occupies the same single slot the probes CLI uses)."""
-
-    def apply(registry: ProbeRegistry) -> None:
-        FaultInjector(plan, registry)
-
-    install_global_plan(apply)
-
-
-def clear_global_fault_plan() -> None:
-    clear_global_plan()

@@ -33,7 +33,7 @@ from repro.metrics.export import (
     write_prometheus,
 )
 from repro.metrics.hub import DEFAULT_WINDOW_NS, MetricsHub, MetricsHubPlan
-from repro.probes.tracepoints import clear_global_plan, install_global_plan
+from repro.probes.tracepoints import attached
 
 #: ASCII sparkline ramp (low → high); deliberately not unicode so the
 #: output survives any terminal/CI log encoding.
@@ -126,11 +126,8 @@ def _run_experiment(name: str, plan: MetricsHubPlan):
             f"unknown experiment {name!r}; choose from "
             f"{', '.join(experiments.all_names())}"
         )
-    install_global_plan(plan)
-    try:
+    with attached(plan):
         return experiments.run(name)
-    finally:
-        clear_global_plan()
 
 
 def _run_serving_point(plan: MetricsHubPlan, args) -> dict:
@@ -148,11 +145,8 @@ def _run_serving_point(plan: MetricsHubPlan, args) -> dict:
         measure_ns=args.measure_us * 1000.0,
         seed=args.seed,
     )
-    install_global_plan(plan)
-    try:
+    with attached(plan):
         system, workload = build_target(config)
-    finally:
-        clear_global_plan()
     check = (
         memcached_reply_check(workload)
         if config.workload == "memcached"

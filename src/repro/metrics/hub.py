@@ -11,11 +11,10 @@ unrun once no live work remains.  A run with no hub attached therefore
 schedules zero metrics events, and an attached run's simulated behaviour
 is byte-identical to a detached one.
 
-Fleet installation mirrors ``GSanPlan``: register a
-:class:`MetricsHubPlan` via
-:func:`repro.probes.tracepoints.install_global_plan` and every System
-constructed while the plan is live gets its own hub, discoverable
-afterwards through :func:`metrics_hubs`.
+Fleet installation mirrors ``GSanPlan``: push a :class:`MetricsHubPlan`
+with ``with repro.probes.attached(plan):`` and every System constructed
+inside the scope gets its own hub, discoverable afterwards through
+:func:`metrics_hubs`.
 """
 
 from __future__ import annotations
@@ -201,11 +200,12 @@ class MetricsHub:
 
 
 class MetricsHubPlan:
-    """Global attach plan: one MetricsHub per System (cf. ``GSanPlan``).
+    """Attach plan: one MetricsHub per System (cf. ``GSanPlan``).
 
-    Register with ``install_global_plan(plan)`` before building systems;
-    every registry constructed while the plan is live gets a freshly
-    installed hub, collected on the plan for later reads/export.
+    Build systems inside ``with probes.attached(plan):``; every registry
+    constructed in that scope gets a freshly installed hub, collected on
+    the plan for later reads/export.  Scopes compose, so a hub runs
+    alongside GSan as ``attached(gsan_plan, hub_plan)``.
     """
 
     def __init__(

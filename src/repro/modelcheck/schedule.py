@@ -221,7 +221,7 @@ class FifoTieBreak:
     Installing it must leave every run bit-identical to the default
     ``tie_break = None`` fast path — the neutrality contract the
     determinism tests assert across the whole experiment suite.
-    Picklable, so it survives checkpoints and global attach plans.
+    Picklable, so it survives checkpoints and attach plans.
     """
 
     def __call__(self, sim: Simulator, ready: List[HeapEntry]) -> int:
@@ -229,8 +229,8 @@ class FifoTieBreak:
 
 
 class FifoSchedulePlan:
-    """Global attach plan installing :class:`FifoTieBreak` on every
-    System built while installed (``probes.install_global_plan``)."""
+    """Attach plan installing :class:`FifoTieBreak` on every System
+    built inside ``with probes.attached(plan):``."""
 
     def __init__(self) -> None:
         self.installed = 0

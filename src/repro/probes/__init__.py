@@ -3,7 +3,8 @@
 The subsystem in one breath: the simulated stack declares static
 **tracepoints** (observe) and **policy hooks** (decide) in a per-System
 :class:`ProbeRegistry`; user **programs** — counters, latency
-histograms, rate meters, fixed/choice policies — attach at runtime;
+histograms, rate meters, fixed/choice policies — attach at runtime,
+directly or to every System built inside ``with attached(*plans):``;
 **exporters** turn attached state into JSON snapshots and Perfetto
 counter tracks; and ``python -m repro.probes run <experiment>
 --attach ...`` does all of it from the command line.
@@ -36,9 +37,7 @@ from repro.probes.tracepoints import (
     NULL_TRACEPOINT,
     ProbeRegistry,
     Tracepoint,
-    apply_global_plan,
-    clear_global_plan,
-    install_global_plan,
+    attached,
 )
 
 __all__ = [
@@ -51,11 +50,9 @@ __all__ = [
     "ProbeRegistry",
     "RateMeter",
     "Tracepoint",
-    "apply_global_plan",
+    "attached",
     "choose",
-    "clear_global_plan",
     "fixed",
-    "install_global_plan",
     "metrics_snapshot",
     "percentile_from_log2_buckets",
     "probe_counter_events",

@@ -26,9 +26,10 @@ Policies (``--policy``, repeatable) pin a decision point to a constant,
 e.g. ``--policy coalesce.window=20000`` — the CLI twin of writing
 ``/sys/genesys/coalesce_window_ns``.
 
-Because experiments build their Systems internally, the CLI installs a
-global *attach plan* that every ``System.__init__`` applies to its
-fresh registry; the plan is cleared again before the process exits.
+Because experiments build their Systems internally, the CLI runs the
+experiment inside ``with repro.probes.attached(plan)``: every
+``System.__init__`` in that scope applies the plan to its fresh
+registry, and the plan is popped again when the scope exits.
 """
 
 from __future__ import annotations
@@ -41,11 +42,7 @@ from typing import List
 from repro.probes import policy as policy_mod
 from repro.probes.exporters import metrics_snapshot
 from repro.probes.programs import CounterProbe, LatencyHistogram, RateMeter
-from repro.probes.tracepoints import (
-    ProbeRegistry,
-    clear_global_plan,
-    install_global_plan,
-)
+from repro.probes.tracepoints import ProbeRegistry, attached
 
 
 class SpecError(ValueError):
@@ -173,15 +170,12 @@ def main(argv=None) -> int:
             # Surface bad specs immediately instead of at System #2.
             raise SystemExit(f"error: {err}") from None
 
-    install_global_plan(plan)
-    try:
+    with attached(plan):
         try:
             result = experiments.run(args.experiment)
         except KeyError as err:
             print(err, file=sys.stderr)
             return 2
-    finally:
-        clear_global_plan()
 
     if not args.quiet:
         print(result.render())

@@ -15,7 +15,7 @@ them at runtime.  Two properties are load-bearing:
   simulator handle, cannot yield, and must not mutate simulated state —
   so attaching any number of observer programs leaves every simulated
   timestamp and result byte-identical (enforced by
-  ``tests/test_probes_determinism.py``).  Policy hooks
+  ``tests/test_determinism_matrix.py``).  Policy hooks
   (:mod:`repro.probes.policy`) are the one sanctioned way to *change*
   behaviour, and they are separate objects at separate sites.
 
@@ -26,7 +26,8 @@ make a private registry so their tracepoints always exist.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.probes.policy import PolicyHook
 
@@ -265,29 +266,29 @@ class StreamRecorder:
         return self
 
 
-# -- global attach plan --------------------------------------------------
+# -- scoped attach stack ------------------------------------------------
 #
-# Experiments construct their Systems internally, so the probes CLI
-# cannot attach to them directly.  Instead it installs a *plan*: a
-# callable applied to every ProbeRegistry a System creates while the
-# plan is installed.  This is the only piece of module-global state in
-# the subsystem; tests and the CLI always clear it in a finally block.
+# Experiments construct their Systems internally, so the CLIs cannot
+# attach to them directly.  Instead they push *plans* -- callables
+# ``plan(registry)`` -- inside ``with attached(...)``; every System built
+# in the scope applies each active plan, in push order, to its fresh
+# registry.  Scopes nest, and leaving one pops exactly its own plans.
 
-_GLOBAL_PLAN: Optional[Callable[["ProbeRegistry"], None]] = None
-
-
-def install_global_plan(plan: Callable[["ProbeRegistry"], None]) -> None:
-    """Apply ``plan(registry)`` to every subsequently-built System."""
-    global _GLOBAL_PLAN
-    _GLOBAL_PLAN = plan
+_ATTACHED: List[Callable[["ProbeRegistry"], None]] = []
 
 
-def clear_global_plan() -> None:
-    global _GLOBAL_PLAN
-    _GLOBAL_PLAN = None
+@contextmanager
+def attached(*plans: Callable[["ProbeRegistry"], None]) -> Iterator[None]:
+    """Apply ``plan(registry)`` to every System built inside the block."""
+    start = len(_ATTACHED)
+    _ATTACHED.extend(plans)
+    try:
+        yield
+    finally:
+        del _ATTACHED[start : start + len(plans)]
 
 
-def apply_global_plan(registry: "ProbeRegistry") -> None:
+def apply_attached(registry: "ProbeRegistry") -> None:
     """Called by ``System.__init__`` once all tracepoints exist."""
-    if _GLOBAL_PLAN is not None:
-        _GLOBAL_PLAN(registry)
+    for plan in _ATTACHED:
+        plan(registry)

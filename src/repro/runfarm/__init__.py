@@ -207,15 +207,12 @@ def _chaos_cell(
     if not gsan:
         return chaos.run_one(experiment, seed, intensity=intensity).as_dict()
 
-    from repro.probes.tracepoints import clear_global_plan, install_global_plan
+    from repro.probes.tracepoints import attached
     from repro.sanitizers.gsan import GSanPlan
 
     plan = GSanPlan()
-    install_global_plan(plan)
-    try:
+    with attached(plan):
         report = chaos.run_one(experiment, seed, intensity=intensity).as_dict()
-    finally:
-        clear_global_plan()
     findings = [str(violation) for violation in plan.finish()]
     report["gsan"] = {"events": plan.events, "violations": findings}
     if findings:

@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.probes.tracepoints import clear_global_plan, install_global_plan
+from repro.probes.tracepoints import attached
 from repro.sanitizers.corpus import distinct_rules, run_corpus
 from repro.sanitizers.gsan import GSanPlan
 from repro.sanitizers.lint import run_lint
@@ -55,13 +55,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for name in names:
         bare = experiments.run(name).render()
         plan = GSanPlan()
-        install_global_plan(plan)
-        try:
-            attached = experiments.run(name).render()
-        finally:
-            clear_global_plan()
+        with attached(plan):
+            sanitized = experiments.run(name).render()
         violations = plan.finish()
-        identical = attached == bare
+        identical = sanitized == bare
         row = {
             "experiment": name,
             "byte_identical": identical,

@@ -863,10 +863,10 @@ class GSan:
 
 
 class GSanPlan:
-    """A global attach plan: one fresh :class:`GSan` per built System.
+    """An attach plan: one fresh :class:`GSan` per built System.
 
-    Install with ``probes.install_global_plan(plan)`` before running an
-    experiment; every ``System.__init__`` then gets its own sanitizer
+    Run an experiment inside ``with probes.attached(plan):`` and every
+    ``System.__init__`` in that scope gets its own sanitizer
     (experiments may build several systems, whose slot/task index
     spaces are independent).
     """

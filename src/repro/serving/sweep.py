@@ -199,7 +199,7 @@ class _MeasureDropTap:
     window and per destination socket.  Closure-free on purpose (the
     determinism/pickle contract for observers) and computed directly in
     ``run_point_on`` rather than via a hub, so farmed sweep points —
-    which restore from a snapshot and never see the global attach plan —
+    which restore from a snapshot and never see an ``attached`` scope —
     report the same windows as serial ones."""
 
     __slots__ = ("registry", "t0", "window_ns", "windows", "total", "by_socket")

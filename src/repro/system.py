@@ -22,7 +22,7 @@ from repro.memory.system import MemorySystem
 from repro.oskernel.cpu import CpuComplex
 from repro.oskernel.linux import LinuxKernel
 from repro.oskernel.process import OsProcess
-from repro.probes.tracepoints import ProbeRegistry, apply_global_plan
+from repro.probes.tracepoints import ProbeRegistry, apply_attached
 from repro.sim.engine import Process, Simulator
 
 
@@ -67,8 +67,9 @@ class System:
         #: chaos/fault runs set this so liveness violations are
         #: diagnosable failures, not wedged event loops.
         self.drain_timeout_ns: Optional[float] = None
-        # Every hook point now exists: apply any CLI/test attach plan.
-        apply_global_plan(self.probes)
+        # Every hook point now exists: apply the plans of any enclosing
+        # ``repro.probes.attached(...)`` scope.
+        apply_attached(self.probes)
 
     # -- checkpoint/restore ---------------------------------------------------
 

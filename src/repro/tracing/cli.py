@@ -9,7 +9,7 @@ Usage::
                                  [--tolerance 0.10] [--abs-ns 1.0]
 
 ``report`` runs one experiment with a :class:`SpanTracer` attached to
-every System it builds (the same global-attach-plan mechanism the
+every System it builds (the same ``repro.probes.attached`` scope the
 probes CLI uses) and prints per-stage p50/p95/p99, critical-path
 attribution, Figure-7/8 axis splits, and the slowest invocations.
 ``record`` writes the per-stage distributions as committed baselines;
@@ -24,11 +24,7 @@ import json
 import sys
 from typing import List, Tuple
 
-from repro.probes.tracepoints import (
-    ProbeRegistry,
-    clear_global_plan,
-    install_global_plan,
-)
+from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.tracing import analysis, gate as gate_mod
 from repro.tracing.export import tef_dict
 from repro.tracing.spans import SpanTracer, InvocationTrace
@@ -43,11 +39,8 @@ def run_traced(experiment: str) -> Tuple[object, List[SpanTracer]]:
     def plan(registry: ProbeRegistry) -> None:
         tracers.append(SpanTracer(registry).install())
 
-    install_global_plan(plan)
-    try:
+    with attached(plan):
         result = experiments.run(experiment)
-    finally:
-        clear_global_plan()
     return result, tracers
 
 

@@ -35,7 +35,7 @@ that wait, and the telescoping property still holds.
 Like every probes observer, the tracer is read-only: it sees plain
 values and the registry clock, never the simulator — attaching it leaves
 all simulated timestamps byte-identical (enforced alongside the other
-probes by ``tests/test_probes_determinism.py``).
+probes by ``tests/test_determinism_matrix.py``).
 """
 
 from __future__ import annotations

@@ -1,44 +1,28 @@
 """The metrics plane's load-bearing guarantee: a fully attached
 MetricsHub leaves every simulated output byte-identical, detached runs
-schedule zero metrics events, and exports are seed-deterministic."""
+schedule zero metrics events, and exports are seed-deterministic.
+Every experiment is diffed bare vs. with a hub by
+``tests/test_determinism_matrix.py``."""
 
 import json
-
-import pytest
 
 from repro import experiments
 from repro.metrics import MetricsHubPlan
 from repro.metrics.export import csv_text, prometheus_text, series_payload
-from repro.probes.tracepoints import clear_global_plan, install_global_plan
+from repro.probes.tracepoints import attached
 
 
 def run_attached(name, **plan_kwargs):
     plan = MetricsHubPlan(**plan_kwargs)
-    install_global_plan(plan)
-    try:
+    with attached(plan):
         return experiments.run(name).render(), plan
-    finally:
-        clear_global_plan()
 
 
 class TestAttachedVersusBare:
-    @pytest.mark.parametrize("name", experiments.all_names())
-    def test_every_experiment_byte_identical(self, name):
-        bare = experiments.run(name).render()
-        attached, plan = run_attached(name)
-        assert attached == bare
-        # Not every experiment builds a System (some drive the raw
-        # machine models); the ones that do must have received a hub.
-        if name == "fig2":
-            assert plan.hubs, "plan never saw a System"
-
     def test_detached_runs_schedule_zero_metrics_ticks(self):
         registries = []
-        install_global_plan(registries.append)  # observe only, no hub
-        try:
+        with attached(registries.append):  # observe only, no hub
             experiments.run("fig2")
-        finally:
-            clear_global_plan()
         assert registries[0].sim.weak_scheduled == 0
 
     def test_attached_run_uses_only_weak_ticks(self):
@@ -56,12 +40,9 @@ class TestAttachedVersusBare:
         )
         bare = json.dumps(run_point(config, 30_000), sort_keys=True)
         plan = MetricsHubPlan()
-        install_global_plan(plan)
-        try:
-            attached = json.dumps(run_point(config, 30_000), sort_keys=True)
-        finally:
-            clear_global_plan()
-        assert attached == bare
+        with attached(plan):
+            with_hub = json.dumps(run_point(config, 30_000), sort_keys=True)
+        assert with_hub == bare
         assert plan.hubs
 
 
@@ -85,16 +66,8 @@ class TestGSanComposition:
 
         gsan_plan = GSanPlan()
         metrics_plan = MetricsHubPlan()
-
-        def both(registry):
-            gsan_plan(registry)
-            metrics_plan(registry)
-
-        install_global_plan(both)
-        try:
+        with attached(gsan_plan, metrics_plan):
             report = run_one("serving", seed=7)
-        finally:
-            clear_global_plan()
         assert report.ok, report.violations
         violations = gsan_plan.finish()
         assert violations == [], "\n".join(v.render() for v in violations)

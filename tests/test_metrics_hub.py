@@ -14,29 +14,23 @@ from repro.metrics.export import (
     prometheus_text,
     series_payload,
 )
-from repro.probes.tracepoints import clear_global_plan, install_global_plan
+from repro.probes.tracepoints import attached
 from repro.system import System
 
 
 def run_with_hub(name, window_ns=10_000.0):
     plan = MetricsHubPlan(window_ns=window_ns)
-    install_global_plan(plan)
-    try:
+    with attached(plan):
         result = experiments.run(name)
-    finally:
-        clear_global_plan()
     return result, plan
 
 
 class TestInstallation:
     def test_plan_installs_one_hub_per_system(self):
         plan = MetricsHubPlan()
-        install_global_plan(plan)
-        try:
+        with attached(plan):
             a = System()
             b = System()
-        finally:
-            clear_global_plan()
         assert len(plan.hubs) == 2
         assert metrics_hubs(a.probes) == [plan.hubs[0]]
         assert metrics_hubs(b.probes) == [plan.hubs[1]]
@@ -83,11 +77,8 @@ class TestTicksAndReads:
             MetricsHub().install(registry)
             registries.append(registry)
 
-        install_global_plan(plan)
-        try:
+        with attached(plan):
             experiments.run("fig2")
-        finally:
-            clear_global_plan()
         sim = registries[0].sim
         assert sim.weak_scheduled > 0
         # drained: no parked metrics tick is keeping the heap alive
@@ -113,11 +104,8 @@ class TestCheckpointRestore:
             warmup_ns=50_000.0, measure_ns=100_000.0,
         )
         plan = MetricsHubPlan()
-        install_global_plan(plan)
-        try:
+        with attached(plan):
             system, workload = build_target(config)
-        finally:
-            clear_global_plan()
         # quiesced checkpoint succeeds with the hub (and any parked
         # weak tick) attached…
         blob = system.checkpoint(extra=workload)
@@ -205,11 +193,8 @@ class TestExporters:
             warmup_ns=50_000.0, measure_ns=100_000.0,
         )
         plan = MetricsHubPlan()
-        install_global_plan(plan)
-        try:
+        with attached(plan):
             system, workload = build_target(config)
-        finally:
-            clear_global_plan()
         run_point_on(system, workload, config, 20_000)
         trace = export_chrome_trace(system)
         pids = {e.get("pid") for e in trace["traceEvents"]}

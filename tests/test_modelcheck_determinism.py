@@ -2,8 +2,8 @@
 
 Neutrality: installing the FIFO tie-break policy (the hook the whole
 subsystem rides on) leaves every experiment byte-identical to the bare
-``tie_break = None`` fast path — over the complete experiment suite,
-mirroring the metrics plane's equivalent guarantee.
+``tie_break = None`` fast path — checked over the complete experiment
+suite by the ``all`` row of ``tests/test_determinism_matrix.py``.
 
 Replayability: a schedule certificate is the *entire* schedule input.
 Two guided runs of the same certificate — workload scenarios under
@@ -15,34 +15,12 @@ import json
 
 import pytest
 
-from repro import experiments
 from repro.modelcheck.explore import run_schedule
 from repro.modelcheck.scenarios import build_scenario
-from repro.modelcheck.schedule import FifoSchedulePlan, GuidedTieBreak
-from repro.probes.tracepoints import (
-    StreamRecorder,
-    clear_global_plan,
-    install_global_plan,
-)
+from repro.modelcheck.schedule import GuidedTieBreak
+from repro.probes.tracepoints import StreamRecorder
 
 WORKLOADS = ("fig2", "grep", "memcached")
-
-
-class TestFifoNeutrality:
-    @pytest.mark.parametrize("name", experiments.all_names())
-    def test_every_experiment_byte_identical(self, name):
-        bare = experiments.run(name).render()
-        plan = FifoSchedulePlan()
-        install_global_plan(plan)
-        try:
-            attached = experiments.run(name).render()
-        finally:
-            clear_global_plan()
-        assert attached == bare
-        # Not every experiment builds a System; the flagship must have
-        # actually exercised the policy path, or this test checks air.
-        if name == "fig2":
-            assert plan.installed >= 1
 
 
 def guided_stream(name, choices, seed):

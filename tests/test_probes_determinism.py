@@ -3,71 +3,30 @@ every simulated result byte-identical.
 
 Observers are synchronous, get plain values, and have no simulator
 handle; the only sanctioned way to change behaviour is a policy hook.
-These tests run full experiments twice — instrumented to the hilt and
-bare — and diff the rendered output."""
-
-import pytest
+Every experiment is diffed bare vs. instrumented to the hilt by
+``tests/test_determinism_matrix.py``; these tests cover a single
+Figure 10 point and what the instrumented run observed."""
 
 from repro import experiments
 from repro.experiments.fig10_coalescing import COALESCE, latency_per_byte
-from repro.probes.programs import CounterProbe, LatencyHistogram, RateMeter
-from repro.probes.tracepoints import clear_global_plan, install_global_plan
+from repro.probes.tracepoints import attached
 
-
-def attach_everything(registry):
-    """Counters on every tracepoint plus the time/latency programs, a
-    full span tracer (repro.tracing), and the GSan sanitizer — the
-    heaviest supported load."""
-    from repro.sanitizers.gsan import GSan
-    from repro.tracing.spans import SpanTracer
-
-    for tp in registry.match("*"):
-        registry.attach(tp.name, CounterProbe(registry, key_arg=0))
-    registry.attach(
-        "syscall.complete", LatencyHistogram(registry, value_arg=2)
-    )
-    registry.attach("irq.raised", RateMeter(registry, bin_ns=5000.0))
-    SpanTracer(registry).install()
-    GSan().install(registry)
-
-
-def run_instrumented(name):
-    install_global_plan(attach_everything)
-    try:
-        return experiments.run(name).render()
-    finally:
-        clear_global_plan()
+from tests.test_determinism_matrix import attach_everything
 
 
 class TestObserverDeterminism:
-    @pytest.mark.parametrize("name", experiments.all_names())
-    def test_every_experiment_byte_identical(self, name):
-        bare = experiments.run(name).render()
-        probed = run_instrumented(name)
-        assert probed == bare
-
     def test_fig10_point_byte_identical(self):
-        def setup(system):
-            attach_everything(system.probes)
-
         bare = latency_per_byte(1024, COALESCE)
-        probed = latency_per_byte(1024, COALESCE, setup=setup)
+        with attached(attach_everything):
+            probed = latency_per_byte(1024, COALESCE)
         assert probed == bare
 
     def test_probes_actually_observed_something(self):
         """Guard against vacuous determinism: the instrumented run must
         really have delivered events."""
         captured = []
-
-        def plan(registry):
-            attach_everything(registry)
-            captured.append(registry)
-
-        install_global_plan(plan)
-        try:
+        with attached(attach_everything, captured.append):
             experiments.run("fig2")
-        finally:
-            clear_global_plan()
         assert captured
         registry = captured[0]
         total_hits = sum(tp.hits for tp in registry.tracepoints.values())

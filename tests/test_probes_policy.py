@@ -12,6 +12,7 @@ from repro.oskernel.errors import Errno, OsError
 from repro.oskernel.fs import O_RDWR
 from repro.oskernel.workqueue import WorkQueue
 from repro.probes.policy import PolicyHook, choose, fixed
+from repro.probes.tracepoints import attached
 from repro.sim.engine import Simulator
 from repro.system import System
 
@@ -252,33 +253,32 @@ class TestPageCacheVictimHook:
 # -- Figure 10 sensitivity point through the hook path --------------------
 
 
+def attach_coalesce_policies(registry):
+    registry.attach_policy("coalesce.window", fixed(COALESCE.window_ns))
+    registry.attach_policy("coalesce.batch", fixed(COALESCE.max_batch))
+
+
 class TestCoalescingHookReproducesFig10:
     def test_hook_equals_config_at_sensitivity_point(self):
         """Attaching fixed(window)/fixed(batch) to the coalescing hooks
         reproduces the Fig. 10 coalesce<=8 point exactly: the hook path
         and the config/sysfs path meet at the same decision."""
-
-        def attach_policies(system):
-            system.probes.attach_policy("coalesce.window", fixed(COALESCE.window_ns))
-            system.probes.attach_policy("coalesce.batch", fixed(COALESCE.max_batch))
-
         via_config = latency_per_byte(64, COALESCE)
-        via_hooks = latency_per_byte(64, None, setup=attach_policies)
+        with attached(attach_coalesce_policies):
+            via_hooks = latency_per_byte(64, None)
         assert via_hooks == via_config
 
     def test_hook_point_differs_from_uncoalesced(self):
-        def attach_policies(system):
-            system.probes.attach_policy("coalesce.window", fixed(COALESCE.window_ns))
-            system.probes.attach_policy("coalesce.batch", fixed(COALESCE.max_batch))
-
         uncoalesced = latency_per_byte(64, None)
-        via_hooks = latency_per_byte(64, None, setup=attach_policies)
+        with attached(attach_coalesce_policies):
+            via_hooks = latency_per_byte(64, None)
         assert via_hooks != uncoalesced  # the hook really steered the run
 
     def test_hook_can_disable_coalescing(self):
-        def disable(system):
-            system.probes.attach_policy("coalesce.window", fixed(0.0))
+        def disable(registry):
+            registry.attach_policy("coalesce.window", fixed(0.0))
 
         plain = latency_per_byte(64, None)
-        disabled = latency_per_byte(64, COALESCE, setup=disable)
+        with attached(disable):
+            disabled = latency_per_byte(64, COALESCE)
         assert disabled == plain

@@ -7,8 +7,7 @@ from repro.probes.tracepoints import (
     NULL_TRACEPOINT,
     ProbeRegistry,
     Tracepoint,
-    clear_global_plan,
-    install_global_plan,
+    attached,
 )
 from repro.system import System
 
@@ -198,17 +197,15 @@ class TestSystemCatalogue:
         assert not any(h.active for h in system.probes.hooks.values())
 
 
-class TestGlobalPlan:
-    def test_plan_applies_to_new_systems_until_cleared(self):
+class TestAttached:
+    def test_plans_apply_only_inside_scope(self):
         seen = []
-        install_global_plan(seen.append)
-        try:
+        System(config=small_machine())
+        with attached(seen.append):
             system = System(config=small_machine())
             assert seen == [system.probes]
-        finally:
-            clear_global_plan()
         System(config=small_machine())
-        assert len(seen) == 1  # cleared plan no longer applies
+        assert seen == [system.probes]
 
     def test_plan_can_attach_by_name(self):
         from repro.probes.programs import CounterProbe
@@ -216,10 +213,34 @@ class TestGlobalPlan:
         def plan(registry):
             registry.attach("irq.raised", CounterProbe(registry))
 
-        install_global_plan(plan)
-        try:
+        with attached(plan):
             system = System(config=small_machine())
-        finally:
-            clear_global_plan()
         assert system.probes.get("irq.raised").enabled is True
         assert len(system.probes.programs) == 1
+
+    def test_nested_scopes_apply_outer_then_inner(self):
+        order = []
+        with attached(lambda registry: order.append("outer")):
+            with attached(
+                lambda registry: order.append("inner-1"),
+                lambda registry: order.append("inner-2"),
+            ):
+                System(config=small_machine())
+        assert order == ["outer", "inner-1", "inner-2"]
+
+    def test_leaving_inner_scope_keeps_outer_plan(self):
+        outer, inner = [], []
+        with attached(outer.append):
+            with attached(inner.append):
+                System(config=small_machine())
+            last = System(config=small_machine())
+        assert len(inner) == 1
+        assert outer[-1] is last.probes and len(outer) == 2
+
+    def test_exception_in_body_pops_plans(self):
+        seen = []
+        with pytest.raises(RuntimeError):
+            with attached(seen.append):
+                raise RuntimeError("body failed")
+        System(config=small_machine())
+        assert seen == []

@@ -13,7 +13,7 @@ import pytest
 from repro.faults import FaultPlan
 from repro.faults.chaos import EXPERIMENTS, run_one
 from repro.oskernel.errors import Errno
-from repro.probes.tracepoints import clear_global_plan, install_global_plan
+from repro.probes.tracepoints import attached
 from repro.sanitizers.gsan import GSan, GSanPlan
 
 from tests.test_fuzz_syscalls import _corpus_kernels, _run_corpus_case
@@ -29,13 +29,10 @@ class TestErrnoCorpusUnderGSan:
             watchdog_period_ns=0.0,
         )
         gsan_plan = GSanPlan()
-        install_global_plan(gsan_plan)
-        try:
+        with attached(gsan_plan):
             _, _, system, injector = _run_corpus_case(
                 _corpus_kernels()[syscall_class], plan
             )
-        finally:
-            clear_global_plan()
         assert injector.injected > 0, "corpus case injected nothing"
         violations = gsan_plan.finish()
         assert violations == [], "\n".join(v.render() for v in violations)
@@ -46,11 +43,8 @@ class TestChaosProfilesUnderGSan:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_one_profile_per_workload_is_violation_free(self, experiment):
         gsan_plan = GSanPlan()
-        install_global_plan(gsan_plan)
-        try:
+        with attached(gsan_plan):
             report = run_one(experiment, seed=7)
-        finally:
-            clear_global_plan()
         # The chaos run itself must have survived (prior PR's contract) …
         assert report.ok, report.violations
         assert report.injected > 0
@@ -68,11 +62,8 @@ class TestChaosProfilesUnderGSan:
         # GSan books them as defended races.  Run the heaviest profile
         # and assert the counter is exposed without violations.
         gsan_plan = GSanPlan()
-        install_global_plan(gsan_plan)
-        try:
+        with attached(gsan_plan):
             run_one("fig2", seed=3)
-        finally:
-            clear_global_plan()
         assert gsan_plan.finish() == []
         total_defended = sum(
             s.defended_races for s in gsan_plan.sanitizers

@@ -12,7 +12,7 @@ import pytest
 from repro import experiments
 from repro.core.invocation import Granularity
 from repro.machine import small_machine
-from repro.probes.tracepoints import clear_global_plan, install_global_plan
+from repro.probes.tracepoints import attached
 from repro.sanitizers.gsan import (
     AGENTS,
     GSAN_SNAPSHOT_SCHEMA,
@@ -30,20 +30,16 @@ SAMPLE_EXPERIMENTS = ["fig2", "fig7", "fig13a"]
 
 def run_with_gsan(name):
     plan = GSanPlan()
-    install_global_plan(plan)
-    try:
+    with attached(plan):
         rendered = experiments.run(name).render()
-    finally:
-        clear_global_plan()
     return rendered, plan
 
 
 class TestLiveObserver:
     @pytest.mark.parametrize("name", SAMPLE_EXPERIMENTS)
-    def test_experiment_byte_identical_and_clean(self, name):
-        bare = experiments.run(name).render()
-        attached, plan = run_with_gsan(name)
-        assert attached == bare
+    def test_experiment_byte_identical_and_clean(self, name, bare_render):
+        sanitized, plan = run_with_gsan(name)
+        assert sanitized == bare_render(name)
         assert plan.finish() == []
         assert plan.events > 0
 
@@ -260,11 +256,8 @@ class TestReportingSurface:
 
     def test_plan_aggregates_multiple_systems(self):
         plan = GSanPlan()
-        install_global_plan(plan)
-        try:
+        with attached(plan):
             experiments.run("fig7")
-        finally:
-            clear_global_plan()
         assert len(plan.sanitizers) >= 1
         assert plan.events == sum(s.events for s in plan.sanitizers)
         assert plan.finish() == []
