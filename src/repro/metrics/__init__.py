@@ -15,8 +15,9 @@ runs stay byte-identical and detached runs schedule zero metrics events.
 
 ``hub.read(name, window)`` is the API ROADMAP item 3's feedback
 controllers will consume; :mod:`repro.metrics.export` feeds Prometheus
-text, CSV, Perfetto counter tracks, and the serving report's
-per-window time-series.
+text, CSV, and the serving report's per-window time-series, and
+:func:`repro.traceviz.metric_tracks` draws the same series as Perfetto
+counter tracks.
 """
 
 from repro.metrics.hub import MetricsHub, MetricsHubPlan, metrics_hubs

@@ -1,18 +1,17 @@
 """Exporters for the windowed metrics plane.
 
-Four sinks, all fed from ``MetricsHub.export_series()``:
+Three sinks, all fed from ``MetricsHub.export_series()``:
 
 * :func:`prometheus_text` — Prometheus exposition format (one gauge per
   windowed reading plus lifetime ``_total`` counters), for scraping a
   run's final state or diffing in CI.
 * :func:`csv_text` — long-form ``metric,t0_ns,value`` rows, the archival
   format the CI smoke step schema-checks.
-* :func:`metrics_counter_events` — Trace Event Format "C" counter
-  tracks merged into the :mod:`repro.traceviz` Perfetto export as a
-  ``metrics`` process (pid 5, next to syscalls=1, counters=2, probes=3,
-  spans=4).
 * :func:`series_payload` — a JSON-ready dict embedded in reports
   (``BENCH_serving.json`` carries its serving-specific sibling).
+
+The same series become Perfetto counter tracks through
+:func:`repro.traceviz.metric_tracks`.
 """
 
 from __future__ import annotations
@@ -24,16 +23,10 @@ from repro.metrics.hub import MetricsHub, metrics_hubs
 
 __all__ = [
     "METRICS_SCHEMA",
-    "PID_METRICS",
     "csv_text",
-    "metrics_counter_events",
     "prometheus_text",
     "series_payload",
 ]
-
-#: pid of the metrics counter tracks in the Chrome-trace export
-#: (1 = syscalls, 2 = machine counters, 3 = probes, 4 = spans).
-PID_METRICS = 5
 
 METRICS_SCHEMA = 1
 
@@ -114,62 +107,6 @@ def series_payload(hub: MetricsHub) -> Dict[str, Any]:
             for key, series in sorted(hub.export_series().items())
         },
     }
-
-
-def metrics_counter_events(registry: Any, pid: int = PID_METRICS) -> List[dict]:
-    """Trace Event Format "C" events for every hub on ``registry``.
-
-    ``registry`` may be ``None`` (systems predating probes) — returns
-    ``[]`` so :mod:`repro.traceviz` can call this unconditionally.
-    """
-    hubs = metrics_hubs(registry)
-    if not hubs:
-        return []
-    events: List[dict] = []
-    named = False
-    multi = len(hubs) > 1
-    for hub in hubs:
-        hub.finalize()
-        exported = hub.export_series()
-        if not any(exported.values()):
-            continue
-        if not named:
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"name": "metrics"},
-                }
-            )
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": "windowed metrics"},
-                }
-            )
-            named = True
-        prefix = f"{hub.label}:" if multi and hub.label else ""
-        for key in sorted(exported):
-            series = exported[key]
-            if not series:
-                continue
-            track = f"metric:{prefix}{key}"
-            for t_ns, value in series:
-                events.append(
-                    {
-                        "name": track,
-                        "cat": "metric",
-                        "ph": "C",
-                        "ts": t_ns / 1000.0,  # trace format wants microseconds
-                        "pid": pid,
-                        "args": {"value": round(value, 4)},
-                    }
-                )
-    return events
 
 
 def write_prometheus(

@@ -181,12 +181,6 @@ class MetricsHub:
             "last_window": last,
         }
 
-    def series(self) -> list:
-        """Probe-program protocol stub: hubs export their windows under
-        their own Perfetto process (pid 5, ``metrics_counter_events``),
-        so the pid-3 probe-counter export sees nothing here."""
-        return []
-
     # -- pickling -----------------------------------------------------------
 
     def __getstate__(self) -> dict:

@@ -18,10 +18,9 @@ instead of raising.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.probes.programs import percentile_from_log2_buckets
+from repro.probes.programs import log2_bucket, percentile_from_log2_buckets
 
 __all__ = [
     "EwmaRate",
@@ -30,12 +29,7 @@ __all__ = [
     "WindowedGauge",
     "WindowedLog2Histogram",
     "WindowedRatio",
-    "percentile_from_buckets",
 ]
-
-#: Shared with the whole-run probe programs: nearest-rank over log2
-#: buckets, empty -> 0.0, single-sample answers every q.
-percentile_from_buckets = percentile_from_log2_buckets
 
 
 class EwmaRate:
@@ -342,8 +336,10 @@ class WindowedLog2Histogram(WindowedSeries):
 
     Window value is a compact dict ``{count, mean, p50, p95, p99, max}``
     computed from the window's buckets at close time (percentiles are
-    bucket upper edges — see :func:`percentile_from_buckets`).  Whole-run
-    buckets are kept too, so lifetime percentiles remain available.
+    bucket upper edges — see
+    :func:`~repro.probes.programs.percentile_from_log2_buckets`).
+    Whole-run buckets are kept too, so lifetime percentiles remain
+    available.
     """
 
     kind = "histogram"
@@ -361,14 +357,10 @@ class WindowedLog2Histogram(WindowedSeries):
         self.lifetime_buckets: Dict[int, int] = {}
         self.lifetime_count = 0
 
-    @staticmethod
-    def bucket_of(value: float) -> int:
-        return int(math.floor(math.log2(value))) if value >= 1.0 else 0
-
     def observe(self, t_ns: float, value: float) -> None:
         self._note(self.index_of(t_ns))
         value = float(value)
-        bucket = self.bucket_of(value)
+        bucket = log2_bucket(value)
         self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
         self._sum += value
         self._count += 1
@@ -387,9 +379,9 @@ class WindowedLog2Histogram(WindowedSeries):
             value = {
                 "count": self._count,
                 "mean": self._sum / self._count,
-                "p50": percentile_from_buckets(self._buckets, 50.0),
-                "p95": percentile_from_buckets(self._buckets, 95.0),
-                "p99": percentile_from_buckets(self._buckets, 99.0),
+                "p50": percentile_from_log2_buckets(self._buckets, 50.0),
+                "p95": percentile_from_log2_buckets(self._buckets, 95.0),
+                "p99": percentile_from_log2_buckets(self._buckets, 99.0),
                 "max": self._max,
             }
         self._buckets = {}
@@ -406,7 +398,7 @@ class WindowedLog2Histogram(WindowedSeries):
 
     def percentile(self, q: float) -> float:
         """Lifetime nearest-rank percentile (0.0 when empty)."""
-        return percentile_from_buckets(self.lifetime_buckets, q)
+        return percentile_from_log2_buckets(self.lifetime_buckets, q)
 
     def read(self, last: int = 1, mode: str = "p95") -> float:
         rows = self.closed(last)

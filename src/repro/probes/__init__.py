@@ -5,7 +5,8 @@ The subsystem in one breath: the simulated stack declares static
 :class:`ProbeRegistry`; user **programs** — counters, latency
 histograms, rate meters, fixed/choice policies — attach at runtime,
 directly or to every System built inside ``with attached(*plans):``;
-**exporters** turn attached state into JSON snapshots and Perfetto
+the **exporter** turns attached state into JSON snapshots, and
+:func:`repro.traceviz.probe_tracks` turns rate meters into Perfetto
 counter tracks; and ``python -m repro.probes run <experiment>
 --attach ...`` does all of it from the command line.
 
@@ -19,12 +20,7 @@ Guarantees (tested):
 See the "Probes & policy hooks" section of ``docs/architecture.md``.
 """
 
-from repro.probes.exporters import (
-    PID_PROBES,
-    metrics_snapshot,
-    probe_counter_events,
-    write_metrics_snapshot,
-)
+from repro.probes.exporters import metrics_snapshot
 from repro.probes.policy import PolicyHook, choose, fixed
 from repro.probes.programs import (
     CounterProbe,
@@ -42,7 +38,6 @@ from repro.probes.tracepoints import (
 
 __all__ = [
     "NULL_TRACEPOINT",
-    "PID_PROBES",
     "CounterProbe",
     "LatencyHistogram",
     "PolicyHook",
@@ -55,6 +50,4 @@ __all__ = [
     "fixed",
     "metrics_snapshot",
     "percentile_from_log2_buckets",
-    "probe_counter_events",
-    "write_metrics_snapshot",
 ]

@@ -84,6 +84,8 @@ def apply_attach_spec(registry: ProbeRegistry, spec: str) -> int:
     if kind == "rate":
         name, _, option = rest.partition(":")
         bin_ns = float(_parse_int(spec, option)) if option else 10_000.0
+        if bin_ns <= 0:
+            raise SpecError(f"--attach {spec!r}: bin_ns must be positive")
         registry.attach(name, RateMeter(registry, bin_ns=bin_ns))
         return 1
     raise SpecError(f"--attach {spec!r}: unknown kind {kind!r} (counter|hist|rate|spans)")

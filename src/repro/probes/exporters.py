@@ -1,27 +1,17 @@
-"""Exporters: JSON metrics snapshots and Perfetto counter tracks.
+"""Exporter: JSON metrics snapshots of attached probe state.
 
-Two consumers of attached probe state:
-
-* :func:`metrics_snapshot` — a JSON-ready dict of every tracepoint's
-  hit count, every hook's decision/override counts, and every attached
-  program's snapshot.  The CLI writes this with
-  :func:`write_metrics_snapshot`; CI asserts on it.
-* :func:`probe_counter_events` — Trace Event Format "C" events built
-  from the ``series()`` of attached programs (rate meters), which
-  :mod:`repro.traceviz` merges into its Perfetto export as a
-  ``probes`` process group.
+:func:`metrics_snapshot` is a JSON-ready dict of every tracepoint's hit
+count, every hook's decision/override counts, and every attached
+program's snapshot.  The CLI writes one per System; CI asserts on it.
+Rate meters' time series become Perfetto counter tracks through
+:func:`repro.traceviz.probe_tracks`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, List, Optional
+from typing import Optional
 
 from repro.probes.tracepoints import ProbeRegistry
-
-#: pid of the probe counter tracks in the Chrome-trace export
-#: (1 = syscalls, 2 = machine counters in ``repro.traceviz``).
-PID_PROBES = 3
 
 SNAPSHOT_SCHEMA = 1
 
@@ -53,61 +43,3 @@ def metrics_snapshot(registry: ProbeRegistry, experiment: Optional[str] = None) 
         "programs": [program.snapshot() for program in registry.programs],
     }
 
-
-def write_metrics_snapshot(
-    registry: ProbeRegistry, path: str, experiment: Optional[str] = None
-) -> dict:
-    """Write :func:`metrics_snapshot` to ``path``; returns the dict."""
-    snapshot = metrics_snapshot(registry, experiment)
-    with open(path, "w") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    return snapshot
-
-
-def probe_counter_events(registry: Any, pid: int = PID_PROBES) -> List[dict]:
-    """Trace Event Format "C" events from every program with a series.
-
-    ``registry`` may be ``None`` (systems predating probes) — returns
-    ``[]`` so :mod:`repro.traceviz` can call this unconditionally.
-    """
-    if registry is None:
-        return []
-    events: List[dict] = []
-    named = False
-    for program in registry.programs:
-        series = program.series()
-        if not series:
-            continue
-        if not named:
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"name": "probes"},
-                }
-            )
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": "probe counters"},
-                }
-            )
-            named = True
-        track = f"probe:{program.name}"
-        for t_ns, value in series:
-            events.append(
-                {
-                    "name": track,
-                    "cat": "probe",
-                    "ph": "C",
-                    "ts": t_ns / 1000.0,  # trace format wants microseconds
-                    "pid": pid,
-                    "args": {"value": round(value, 4)},
-                }
-            )
-    return events

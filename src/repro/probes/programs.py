@@ -13,10 +13,10 @@ Each program implements:
 * ``bind(tracepoint)`` — called by ``ProbeRegistry.attach``; lets the
   program remember what it measures and registers it for export;
 * ``__call__(*fire_args)`` — the observer body;
-* ``snapshot()`` — a JSON-ready dict for the metrics exporter;
-* ``series()`` — optional ``[(t_ns, value), ...]`` samples for the
-  Perfetto counter-track merge (empty when the program has no
-  time dimension).
+* ``snapshot()`` — a JSON-ready dict for the metrics exporter.
+
+:class:`RateMeter` also has ``series()``, which
+:func:`repro.traceviz.probe_tracks` draws as a Perfetto counter track.
 """
 
 from __future__ import annotations
@@ -27,14 +27,19 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.probes.tracepoints import ProbeRegistry, Tracepoint
 
 
+def log2_bucket(value: float) -> int:
+    """The log2 bucket holding ``value``: bucket *b* holds values in
+    ``[2^b, 2^(b+1))``, and bucket 0 also absorbs sub-1.0 values."""
+    return int(math.floor(math.log2(value))) if value >= 1.0 else 0
+
+
 def percentile_from_log2_buckets(buckets: Dict[int, int], q: float) -> float:
     """Nearest-rank percentile over log2 buckets; 0.0 when empty.
 
-    Bucket *b* holds values in ``[2^b, 2^(b+1))`` (bucket 0 also absorbs
-    sub-1.0 values); the reported percentile is the holding bucket's
-    upper edge — a conservative bound, exact to within one power of two.
-    A single-sample histogram answers every ``q`` with that sample's
-    bucket edge rather than raising.
+    Buckets are :func:`log2_bucket` indices; the reported percentile is
+    the holding bucket's upper edge — a conservative bound, exact to
+    within one power of two.  A single-sample histogram answers every
+    ``q`` with that sample's bucket edge rather than raising.
     """
     total = sum(buckets.values())
     if total == 0:
@@ -73,9 +78,6 @@ class ProbeProgram:
             "name": self.name,
             "tracepoint": self.tracepoint.name if self.tracepoint else None,
         }
-
-    def series(self) -> List[Tuple[float, float]]:
-        return []
 
 
 class CounterProbe(ProbeProgram):
@@ -144,7 +146,7 @@ class LatencyHistogram(ProbeProgram):
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        bucket = int(math.floor(math.log2(value))) if value >= 1.0 else 0
+        bucket = log2_bucket(value)
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     @property

@@ -296,9 +296,9 @@ class _GsanObserver:
 class GSan:
     """The sanitizer: attach to a registry, or feed a replayed stream.
 
-    Duck-types the probe-program protocol (``snapshot``/``series``) so
-    the metrics exporter picks it up from ``registry.programs`` like
-    any other attached program.
+    Duck-types the probe-program ``snapshot`` so the metrics exporter
+    picks it up from ``registry.programs`` like any other attached
+    program.
     """
 
     kind = "sanitizer"
@@ -857,9 +857,6 @@ class GSan:
             "defended_races": self.defended_races,
             "clocks": dict(self.clocks),
         }
-
-    def series(self) -> list:
-        return []
 
 
 class GSanPlan:

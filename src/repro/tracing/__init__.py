@@ -5,8 +5,8 @@ attaches pure observers that join each syscall's ``invocation_id``
 across every pipeline stage (submit, signal, interrupt, coalesce,
 workqueue, dispatch, service, resume), :mod:`repro.tracing.analysis`
 turns the collected traces into the paper's latency-composition views,
-:mod:`repro.tracing.export` renders them as Perfetto span tracks, and
-:mod:`repro.tracing.gate` compares fresh runs against committed
+:func:`repro.traceviz.span_tracks` renders them as Perfetto span
+tracks, and :mod:`repro.tracing.gate` compares fresh runs against committed
 baselines (``python -m repro.tracing report|record|gate``).
 """
 

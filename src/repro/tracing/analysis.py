@@ -19,13 +19,17 @@ from typing import Callable, Dict, Iterable, List, Sequence
 from repro.tracing.spans import STAGE_ORDER, InvocationTrace
 
 
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of already-sorted, non-empty ``ordered``."""
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` (need not be sorted)."""
     if not values:
         return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+    return _nearest_rank(sorted(values), q)
 
 
 def summarize(values: Sequence[float]) -> dict:
@@ -37,17 +41,13 @@ def summarize(values: Sequence[float]) -> dict:
         }
     ordered = sorted(values)
     total = sum(ordered)
-
-    def rank(q: float) -> float:
-        return ordered[min(max(1, math.ceil(q / 100.0 * len(ordered))), len(ordered)) - 1]
-
     return {
         "count": len(ordered),
         "total": total,
         "mean": total / len(ordered),
-        "p50": rank(50),
-        "p95": rank(95),
-        "p99": rank(99),
+        "p50": _nearest_rank(ordered, 50),
+        "p95": _nearest_rank(ordered, 95),
+        "p99": _nearest_rank(ordered, 99),
         "max": ordered[-1],
     }
 

@@ -26,7 +26,6 @@ from typing import List, Tuple
 
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.tracing import analysis, gate as gate_mod
-from repro.tracing.export import tef_dict
 from repro.tracing.spans import SpanTracer, InvocationTrace
 
 
@@ -64,8 +63,15 @@ def _cmd_report(args) -> int:
             fh.write("\n")
         print(f"wrote {args.json}")
     if args.tef:
+        from repro import traceviz
+
+        spans = traceviz.document(
+            traceviz.span_tracks(tracers),
+            "repro.tracing (GENESYS reproduction)",
+            invocations=len(traces),
+        )
         with open(args.tef, "w") as fh:
-            json.dump(tef_dict(tracers), fh)
+            json.dump(spans, fh)
         print(f"wrote {args.tef}")
     return 0 if traces else 1
 

@@ -185,9 +185,9 @@ class InvocationTrace:
 class SpanTracer:
     """Reconstructs per-invocation timelines from span tracepoints.
 
-    Duck-types the probe-program protocol (``snapshot``/``series``) so
-    the metrics exporter and Perfetto merge pick it up from
-    ``registry.programs`` like any other attached program.
+    Duck-types the probe-program ``snapshot`` so the metrics exporter
+    picks it up from ``registry.programs`` like any other attached
+    program; :func:`repro.traceviz.span_tracks` renders its traces.
     """
 
     kind = "spans"
@@ -345,9 +345,6 @@ class SpanTracer:
             "stages": stage_stats(self.completed),
             "end_to_end": e2e_stats(self.completed),
         }
-
-    def series(self) -> List[Tuple[float, float]]:
-        return []
 
     def __repr__(self) -> str:
         return (

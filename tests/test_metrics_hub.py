@@ -8,14 +8,10 @@ import pytest
 
 from repro import experiments
 from repro.metrics import MetricsHub, MetricsHubPlan, metrics_hubs
-from repro.metrics.export import (
-    csv_text,
-    metrics_counter_events,
-    prometheus_text,
-    series_payload,
-)
+from repro.metrics.export import csv_text, prometheus_text, series_payload
 from repro.probes.tracepoints import attached
 from repro.system import System
+from repro.traceviz import PID_METRICS, metric_tracks
 
 
 def run_with_hub(name, window_ns=10_000.0):
@@ -167,12 +163,12 @@ class TestExporters:
         assert "syscall.rate" in payload["series"]
         assert json.loads(encoded) == payload
 
-    def test_tef_events_valid(self):
+    def test_metric_tracks_valid(self):
         _result, plan = run_with_hub("fig2")
-        events = metrics_counter_events(plan.hub.registry)
+        events = metric_tracks(plan.hub.registry)
         assert events, "fig2 with a hub must export counter tracks"
         assert events[0]["ph"] == "M"
-        assert all(e["pid"] == 5 for e in events)
+        assert all(e["pid"] == PID_METRICS for e in events)
         for event in events:
             assert event["ph"] in ("M", "C")
             if event["ph"] == "C":
@@ -181,8 +177,8 @@ class TestExporters:
                 assert isinstance(event["args"]["value"], (int, float))
         json.dumps(events)  # serializable as-is
 
-    def test_tef_events_none_registry(self):
-        assert metrics_counter_events(None) == []
+    def test_metric_tracks_none_registry(self):
+        assert metric_tracks(None) == []
 
     def test_traceviz_merges_metrics_process(self):
         from repro.serving.sweep import ServingConfig, build_target, run_point_on
@@ -198,7 +194,7 @@ class TestExporters:
         run_point_on(system, workload, config, 20_000)
         trace = export_chrome_trace(system)
         pids = {e.get("pid") for e in trace["traceEvents"]}
-        assert 5 in pids
+        assert PID_METRICS in pids
         names = {
             e["args"]["name"]
             for e in trace["traceEvents"]

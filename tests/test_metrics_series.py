@@ -12,9 +12,12 @@ from repro.metrics.series import (
     WindowedGauge,
     WindowedLog2Histogram,
     WindowedRatio,
-    percentile_from_buckets,
 )
-from repro.probes.programs import LatencyHistogram, RateMeter
+from repro.probes.programs import (
+    LatencyHistogram,
+    RateMeter,
+    percentile_from_log2_buckets,
+)
 from repro.probes.tracepoints import ProbeRegistry
 
 
@@ -227,11 +230,11 @@ class TestValidationAndPickle:
 
 class TestPercentileFromBuckets:
     def test_empty(self):
-        assert percentile_from_buckets({}, 99.0) == 0.0
+        assert percentile_from_log2_buckets({}, 99.0) == 0.0
 
     def test_out_of_range_q_is_clamped(self):
-        assert percentile_from_buckets({3: 1}, 150.0) == 16.0
-        assert percentile_from_buckets({3: 1}, -5.0) == 16.0
+        assert percentile_from_log2_buckets({3: 1}, 150.0) == 16.0
+        assert percentile_from_log2_buckets({3: 1}, -5.0) == 16.0
 
 
 class TestProbeProgramEdgeCases:

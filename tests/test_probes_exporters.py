@@ -1,5 +1,5 @@
-"""Tests for the metrics-snapshot exporter, the Perfetto counter-track
-merge, and the ``python -m repro.probes`` CLI."""
+"""Tests for the metrics-snapshot exporter, the probes' Perfetto counter
+tracks, and the ``python -m repro.probes`` CLI."""
 
 import json
 
@@ -8,16 +8,12 @@ import pytest
 from repro.machine import small_machine
 from repro.probes import cli
 from repro.probes.cli import SpecError, apply_attach_spec, apply_policy_spec
-from repro.probes.exporters import (
-    PID_PROBES,
-    metrics_snapshot,
-    probe_counter_events,
-    write_metrics_snapshot,
-)
+from repro.probes.exporters import metrics_snapshot
 from repro.probes.policy import fixed
 from repro.probes.programs import CounterProbe, RateMeter
 from repro.probes.tracepoints import ProbeRegistry
 from repro.system import System
+from repro.traceviz import PID_PROBES, probe_tracks
 
 
 def ran_system():
@@ -65,23 +61,22 @@ class TestMetricsSnapshot:
         system = ran_system()
         json.dumps(metrics_snapshot(system.probes))
 
-    def test_write_roundtrip(self, tmp_path):
-        system = System(config=small_machine())
-        path = tmp_path / "metrics.json"
-        written = write_metrics_snapshot(system.probes, str(path), experiment="x")
-        loaded = json.loads(path.read_text())
-        assert loaded == written
 
-
-class TestProbeCounterEvents:
+class TestProbeTracks:
     def test_none_registry_is_empty(self):
-        assert probe_counter_events(None) == []
+        assert probe_tracks(None) == []
 
-    def test_no_series_programs_no_events(self):
+    def test_no_rate_meters_no_events(self):
         reg = ProbeRegistry()
         reg.tracepoint("t")
         reg.attach("t", CounterProbe(reg))
-        assert probe_counter_events(reg) == []
+        assert probe_tracks(reg) == []
+
+    def test_rate_meter_without_fires_no_events(self):
+        reg = ProbeRegistry()
+        reg.tracepoint("t")
+        reg.attach("t", RateMeter(reg))
+        assert probe_tracks(reg) == []
 
     def test_rate_meter_becomes_counter_track(self):
         class Clock:
@@ -92,7 +87,7 @@ class TestProbeCounterEvents:
         meter = reg.attach("irq.raised", RateMeter(reg, bin_ns=1000.0))
         meter()
         meter()
-        events = probe_counter_events(reg)
+        events = probe_tracks(reg)
         assert events[0]["ph"] == "M"
         assert events[0]["pid"] == PID_PROBES
         counters = [e for e in events if e["ph"] == "C"]
@@ -140,6 +135,8 @@ class TestAttachSpecs:
             "counter:irq.raised:keys=0",  # bad option
             "hist:irq.raised:value=x",  # non-integer
             "rate:irq.raised:abc",  # non-integer bin
+            "rate:irq.raised:0",  # empty bin
+            "rate:irq.raised:-5",  # negative bin
         ],
     )
     def test_bad_attach_specs(self, spec):

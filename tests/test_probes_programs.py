@@ -110,7 +110,3 @@ class TestRateMeter:
         assert snap["count"] == 1
         assert snap["bin_ns"] == 500.0
         assert snap["bins"] == 1
-
-    def test_counter_and_hist_have_no_series(self, registry):
-        assert CounterProbe(registry).series() == []
-        assert LatencyHistogram(registry).series() == []

@@ -1,12 +1,20 @@
 """Tests for the Chrome-trace exporter."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro import experiments
+from repro.experiments import fig2_walkthrough
 from repro.machine import small_machine
+from repro.metrics.hub import MetricsHubPlan
+from repro.probes import attached
+from repro.probes.programs import RateMeter
 from repro.system import System
-from repro.traceviz import export_chrome_trace, write_chrome_trace
+from repro.tracing import cli as tracing_cli
+from repro.tracing.spans import install_tracer
+from repro.traceviz import PID_PROBES, export_chrome_trace, write_chrome_trace
 
 
 @pytest.fixture
@@ -116,9 +124,6 @@ class TestTraceEventFormat:
 
 class TestProbeCounterTracks:
     def test_rate_meter_appears_as_probe_track(self):
-        from repro.probes.exporters import PID_PROBES
-        from repro.probes.programs import RateMeter
-
         system = System(config=small_machine())
         system.probes.attach(
             "syscall.complete", RateMeter(system.probes, bin_ns=5000.0)
@@ -154,3 +159,46 @@ class TestProbeCounterTracks:
             for e in trace["traceEvents"]
             if e.get("ph") == "C"
         )
+
+
+class TestGoldenBytes:
+    """The export bytes are pinned: any change to an event, its order,
+    its dict key order, its rounding or ``otherData`` moves a digest."""
+
+    #: sha256 of each document's JSON for fig2 with a RateMeter, a
+    #: SpanTracer and a metrics hub attached.
+    CHROME_TRACE_SHA256 = (
+        "a0c669b458c8bab4cea2987d93b68cb78dbd5e625ac21f670d79b03489758a7d"
+    )
+    SPAN_TEF_SHA256 = (
+        "1a702167fbf510765e3278534d07385f727072ee3cdeac5473e9f63fecc779a1"
+    )
+
+    @staticmethod
+    def attach_rate_meter(registry):
+        registry.attach("syscall.complete", RateMeter(registry, bin_ns=1000.0))
+
+    def test_chrome_trace_bytes(self, monkeypatch):
+        systems = []
+
+        class RecordingSystem(System):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                systems.append(self)
+
+        monkeypatch.setattr(fig2_walkthrough, "System", RecordingSystem)
+        with attached(self.attach_rate_meter, install_tracer, MetricsHubPlan()):
+            experiments.run("fig2")
+        (system,) = systems
+        trace = export_chrome_trace(system)
+        assert sorted({e["pid"] for e in trace["traceEvents"]}) == [1, 2, 3, 4, 5]
+        digest = hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+        assert digest == self.CHROME_TRACE_SHA256
+
+    def test_span_tef_bytes(self, tmp_path, capsys):
+        path = tmp_path / "spans.trace.json"
+        # The CLI attaches its own SpanTracer inside these outer scopes.
+        with attached(self.attach_rate_meter, MetricsHubPlan()):
+            assert tracing_cli.main(["report", "fig2", "--quiet", "--tef", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SPAN_TEF_SHA256

@@ -19,7 +19,10 @@ from repro.oskernel.fs import O_RDWR
 from repro.system import System
 from repro.tracing import STAGE_ORDER, InvocationTrace, SpanTracer, span_tracers
 from repro.tracing import analysis, gate
-from repro.tracing.export import PID_SPANS, STAGE_TIDS, span_events, tef_dict
+from repro.traceviz import PID_SPANS, span_tracks
+
+#: Stage -> tid as the span tracks number them, in pipeline order.
+STAGE_TIDS = {stage: tid for tid, stage in enumerate(STAGE_ORDER, start=1)}
 
 
 def traced_system():
@@ -253,10 +256,10 @@ class TestAnalysis:
 
 
 class TestSpanExport:
-    def test_span_events_pid_and_tids(self):
+    def test_span_tracks_pid_and_tids(self):
         system, tracer = traced_system()
         run_rw_workload(system)
-        events = span_events([tracer])
+        events = span_tracks([tracer])
         assert events
         assert {e["pid"] for e in events} == {PID_SPANS}
         spans = [e for e in events if e["ph"] == "X"]
@@ -267,7 +270,7 @@ class TestSpanExport:
     def test_flow_arrows_pair_up(self):
         system, tracer = traced_system()
         run_rw_workload(system)
-        events = span_events([tracer])
+        events = span_tracks([tracer])
         starts = [e for e in events if e["ph"] == "s"]
         finishes = [e for e in events if e["ph"] == "f"]
         assert len(starts) == len(finishes) == len(tracer.completed)
@@ -278,7 +281,8 @@ class TestSpanExport:
     def test_metadata_names_every_stage_track(self):
         system, tracer = traced_system()
         run_rw_workload(system)
-        events = span_events([tracer])
+        events = span_tracks([tracer])
+        assert events[0]["ph"] == "M" and events[0]["name"] == "process_name"
         named = {
             e["tid"]
             for e in events
@@ -288,8 +292,7 @@ class TestSpanExport:
 
     def test_no_traces_no_events(self):
         system, tracer = traced_system()
-        assert span_events([tracer]) == []
-        assert tef_dict([tracer])["traceEvents"] == []
+        assert span_tracks([tracer]) == []
 
     def test_traceviz_merges_span_process(self):
         from repro.traceviz import export_chrome_trace
@@ -309,7 +312,7 @@ class TestSpanExport:
         json.dumps(trace)
 
     def test_traceviz_names_syscall_threads(self):
-        from repro.traceviz import export_chrome_trace
+        from repro.traceviz import PID_SYSCALLS, export_chrome_trace
 
         system, tracer = traced_system()
         run_rw_workload(system)
@@ -318,7 +321,9 @@ class TestSpanExport:
         named = {
             e["tid"]
             for e in events
-            if e.get("ph") == "M" and e["name"] == "thread_name" and e["pid"] == 1
+            if e.get("ph") == "M"
+            and e["name"] == "thread_name"
+            and e["pid"] == PID_SYSCALLS
         }
         assert hw_ids <= named
 
