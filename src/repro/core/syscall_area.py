@@ -17,7 +17,7 @@ the false-sharing ablation can quantify why the paper did not do that.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 from repro.core.invocation import SyscallRequest
 from repro.machine import MachineConfig
@@ -356,10 +356,21 @@ class SyscallArea:
             raise IndexError(f"lane {lane} out of range")
         return self._slot_at(hw_wavefront_id * self.width + lane)
 
-    def slots_of(self, hw_wavefront_id: int) -> List[Slot]:
-        """The 64 (wavefront-width) slots one CPU scan task examines."""
+    def slots_of(self, hw_wavefront_id: int) -> Iterator[Slot]:
+        """The touched slots of one wavefront, in lane order: what one
+        CPU scan task examines.
+
+        Lazy and non-materialising: each index is read when the scan
+        reaches it, so a slot first claimed mid-scan at a higher lane is
+        still visited, while untouched slots (all FREE) cost one None
+        test.  A work-group call touches only its leader's slot.
+        """
+        slots = self._slots
         start = hw_wavefront_id * self.width
-        return [self._slot_at(i) for i in range(start, start + self.width)]
+        for index in range(start, start + self.width):
+            slot = slots[index]
+            if slot is not None:
+                yield slot
 
     def shares_cacheline(self, slot: Slot) -> bool:
         """Whether this slot's line holds other slots (packed layout)."""

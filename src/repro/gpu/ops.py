@@ -15,17 +15,38 @@ from typing import Any, Callable, Sequence
 
 from repro.sim.engine import Event
 
+#: Opcodes :meth:`Wavefront.run <repro.gpu.wavefront.Wavefront.run>`
+#: dispatches on, one per concrete op class.  ``OP_NONE`` (the base
+#: class's) is not executable.
+(
+    OP_NONE,
+    OP_BARRIER,
+    OP_ATOMIC,
+    OP_DO,
+    OP_COMPUTE,
+    OP_MEM_READ,
+    OP_MEM_WRITE,
+    OP_SLEEP,
+    OP_WAIT_ALL,
+    OP_LDS_READ,
+    OP_LDS_WRITE,
+    OP_L1_FLUSH,
+) = range(12)
+
 
 class Op:
     """Base class for all work-item operations."""
 
     __slots__ = ()
 
+    opcode = OP_NONE
+
 
 class Compute(Op):
     """ALU work of ``cycles`` GPU cycles (lockstep across the wavefront)."""
 
     __slots__ = ("cycles",)
+    opcode = OP_COMPUTE
 
     def __init__(self, cycles: float):
         if cycles < 0:
@@ -40,6 +61,7 @@ class MemRead(Op):
     """Read ``size`` bytes at ``addr`` through L1/L2/DRAM."""
 
     __slots__ = ("addr", "size")
+    opcode = OP_MEM_READ
 
     def __init__(self, addr: int, size: int):
         if size < 0:
@@ -55,6 +77,7 @@ class MemWrite(Op):
     """Write ``size`` bytes at ``addr`` (write-through to L2)."""
 
     __slots__ = ("addr", "size")
+    opcode = OP_MEM_WRITE
 
     def __init__(self, addr: int, size: int):
         if size < 0:
@@ -70,6 +93,7 @@ class Atomic(Op):
     """One atomic memory operation (Table IV kinds), L1-bypassing."""
 
     __slots__ = ("kind", "addr")
+    opcode = OP_ATOMIC
 
     def __init__(self, kind: str, addr: int):
         self.kind = kind
@@ -83,6 +107,7 @@ class Barrier(Op):
     """Work-group scope barrier: every live work-item must arrive."""
 
     __slots__ = ()
+    opcode = OP_BARRIER
 
     def __repr__(self) -> str:
         return "Barrier()"
@@ -92,6 +117,7 @@ class Sleep(Op):
     """Raw delay in nanoseconds (models fixed-latency instructions)."""
 
     __slots__ = ("duration",)
+    opcode = OP_SLEEP
 
     def __init__(self, duration: float):
         if duration < 0:
@@ -112,6 +138,7 @@ class Do(Op):
     """
 
     __slots__ = ("action",)
+    opcode = OP_DO
 
     def __init__(self, action: Callable[[], Any]):
         self.action = action
@@ -128,6 +155,7 @@ class WaitAll(Op):
     """
 
     __slots__ = ("events",)
+    opcode = OP_WAIT_ALL
 
     def __init__(self, events: Sequence[Event]):
         self.events = list(events)
@@ -145,6 +173,7 @@ class LdsRead(Op):
     """
 
     __slots__ = ("addr", "size")
+    opcode = OP_LDS_READ
 
     def __init__(self, addr: int, size: int = 4):
         if addr < 0 or size < 0:
@@ -161,6 +190,7 @@ class LdsWrite(Op):
     as :class:`LdsRead`, without the broadcast exemption)."""
 
     __slots__ = ("addr", "size")
+    opcode = OP_LDS_WRITE
 
     def __init__(self, addr: int, size: int = 4):
         if addr < 0 or size < 0:
@@ -181,6 +211,7 @@ class L1Flush(Op):
     """
 
     __slots__ = ("addr", "size")
+    opcode = OP_L1_FLUSH
 
     def __init__(self, addr: int, size: int):
         if size < 0:

@@ -2,12 +2,18 @@
 
 Each wavefront is one simulation process driving up to
 ``wavefront_width`` work-item generators.  Per step, every runnable lane
-yields one op; the executor charges a combined cost (max for compute,
-serialised unique-line traffic for memory, serialised atomics) so SIMD
-lockstep and coalescing behaviour are reflected in timing.  Lanes block
-individually on barriers and halt-waits; the wavefront as a whole only
-sleeps when no lane can make progress — so a single blocked work-item
-stalls its wavefront, the paper's motivation for non-blocking syscalls.
+yields one op; the executor charges a combined cost so SIMD lockstep is
+reflected in timing: the max for compute, and serialised memory traffic.
+Memory is not coalesced: every lane's load or store runs through the
+cache hierarchy line by line, in lane order, so lanes repeating a line
+pay again — as an L1 hit for loads, an L2 hit for write-through stores.
+Atomics serialise the same way.  Lanes block individually on barriers
+and halt-waits; the wavefront as a whole only sleeps when no lane can
+make progress — so a single blocked work-item stalls its wavefront, the
+paper's motivation for non-blocking syscalls.
+
+The step loop branches on each op's class-level ``opcode`` (most
+frequent kinds first) rather than an ``isinstance`` chain.
 """
 
 from __future__ import annotations
@@ -16,18 +22,19 @@ from typing import Any, Generator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.gpu.hierarchy import WorkGroup, WorkItemCtx
 from repro.gpu.ops import (
-    Atomic,
-    Barrier,
-    Compute,
-    Do,
-    L1Flush,
-    LdsRead,
-    LdsWrite,
-    MemRead,
-    MemWrite,
+    OP_ATOMIC,
+    OP_BARRIER,
+    OP_COMPUTE,
+    OP_DO,
+    OP_L1_FLUSH,
+    OP_LDS_READ,
+    OP_LDS_WRITE,
+    OP_MEM_READ,
+    OP_MEM_WRITE,
+    OP_NONE,
+    OP_SLEEP,
+    OP_WAIT_ALL,
     Op,
-    Sleep,
-    WaitAll,
 )
 from repro.sim.engine import Event, Simulator
 
@@ -120,6 +127,7 @@ class Wavefront:
         """Process body: drive all lanes to completion."""
         cfg = self.gpu.config
         mem = self.gpu.memsystem
+        group = self.group
         # Live/runnable lane lists are maintained incrementally (in lane
         # order) and only rebuilt when a lane finishes, blocks, or wakes —
         # the steady-state step loop allocates no per-step lane lists.
@@ -140,53 +148,82 @@ class Wavefront:
                 if len(runnable) < len(live):
                     self.divergent_steps += 1
                 compute_ns = 0.0
-                mem_ops: List[Op] = []
-                atomic_ops: List[Atomic] = []
-                flush_ops: List[L1Flush] = []
-                lds_ops: List[Op] = []
+                # Per-kind op lists exist only once a lane yields that kind.
+                mem_ops: Optional[List[Op]] = None
+                atomic_ops: Optional[List[Op]] = None
+                flush_ops: Optional[List[Op]] = None
+                lds_ops: Optional[List[Op]] = None
                 lanes_changed = False
                 for lane in runnable:
-                    op = self._step_lane(lane)
-                    if op is None:
-                        lanes_changed = True  # lane finished
-                        continue
-                    if isinstance(op, Compute):
-                        compute_ns = max(compute_ns, op.cycles * cfg.gpu_cycle_ns)
-                    elif isinstance(op, Sleep):
-                        compute_ns = max(compute_ns, op.duration)
-                    elif isinstance(op, (MemRead, MemWrite)):
-                        mem_ops.append(op)
-                    elif isinstance(op, Do):
-                        lane.inbox = op.action()
-                    elif isinstance(op, Atomic):
-                        atomic_ops.append(op)
-                    elif isinstance(op, (LdsRead, LdsWrite)):
-                        lds_ops.append(op)
-                    elif isinstance(op, L1Flush):
-                        flush_ops.append(op)
-                    elif isinstance(op, Barrier):
-                        lane.blocked_on = self.group.arrive_barrier()
+                    try:
+                        op = lane.gen.send(lane.inbox)
+                    except StopIteration:
+                        lane.finished = True
+                        lane.inbox = None
+                        group.work_item_finished()
                         lanes_changed = True
-                    elif isinstance(op, WaitAll):
+                        continue
+                    lane.inbox = None
+                    try:
+                        code = op.opcode
+                    except AttributeError:  # not an Op: the TypeError below
+                        code = OP_NONE
+                    # Branches in order of how often lanes yield each kind.
+                    if code == OP_BARRIER:
+                        lane.blocked_on = group.arrive_barrier()
+                        lanes_changed = True
+                    elif code == OP_ATOMIC:
+                        if atomic_ops is None:
+                            atomic_ops = [op]
+                        else:
+                            atomic_ops.append(op)
+                    elif code == OP_DO:
+                        lane.inbox = op.action()
+                    elif code == OP_COMPUTE:
+                        lane_ns = op.cycles * cfg.gpu_cycle_ns
+                        if lane_ns > compute_ns:
+                            compute_ns = lane_ns
+                    elif code == OP_MEM_READ or code == OP_MEM_WRITE:
+                        if mem_ops is None:
+                            mem_ops = [op]
+                        else:
+                            mem_ops.append(op)
+                    elif code == OP_SLEEP:
+                        if op.duration > compute_ns:
+                            compute_ns = op.duration
+                    elif code == OP_WAIT_ALL:
                         lane.blocked_on = all_events(self.sim, op.events)
                         lane.needs_resume = True
                         lanes_changed = True
+                    elif code == OP_LDS_READ or code == OP_LDS_WRITE:
+                        if lds_ops is None:
+                            lds_ops = [op]
+                        else:
+                            lds_ops.append(op)
+                    elif code == OP_L1_FLUSH:
+                        if flush_ops is None:
+                            flush_ops = [op]
+                        else:
+                            flush_ops.append(op)
                     else:
                         raise TypeError(f"work-item yielded non-op {op!r}")
 
                 if compute_ns:
                     yield compute_ns
-                if lds_ops:
+                if lds_ops is not None:
                     yield self._lds_time(lds_ops)
-                for op in mem_ops:
-                    if isinstance(op, MemRead):
-                        yield from mem.gpu_load(self.cu_id, op.addr, op.size)
-                    else:
-                        yield from mem.gpu_store(self.cu_id, op.addr, op.size)
-                for aop in atomic_ops:
-                    yield from mem.gpu_atomic(aop.kind, aop.addr)
-                for fop in flush_ops:
-                    yield from mem.gpu_l1_flush_range(self.cu_id, fop.addr, fop.size)
+                if mem_ops is not None:
+                    for op in mem_ops:
+                        if op.opcode == OP_MEM_READ:
+                            yield from mem.gpu_load(self.cu_id, op.addr, op.size)
+                        else:
+                            yield from mem.gpu_store(self.cu_id, op.addr, op.size)
+                if atomic_ops is not None:
+                    for op in atomic_ops:
+                        yield from mem.gpu_atomic(op.kind, op.addr)
+                if flush_ops is not None:
+                    for op in flush_ops:
+                        yield from mem.gpu_l1_flush_range(self.cu_id, op.addr, op.size)
                 if lanes_changed:
                     live = [lane for lane in live if not lane.finished]
                     runnable = [lane for lane in live if lane.blocked_on is None]
@@ -210,7 +247,7 @@ class Wavefront:
             last_word = (op.addr + max(op.size, 1) - 1) // cfg.lds_bank_bytes
             for word in range(first_word, last_word + 1):
                 bank = word % cfg.lds_banks
-                is_read = isinstance(op, LdsRead)
+                is_read = op.opcode == OP_LDS_READ
                 bank_words.setdefault(bank, []).append((word, is_read))
         degree = 1
         for accesses in bank_words.values():
@@ -225,17 +262,6 @@ class Wavefront:
             bank_degree = len(reads) + writes
             degree = max(degree, bank_degree)
         return degree * cfg.lds_access_ns
-
-    def _step_lane(self, lane: _Lane) -> Optional[Op]:
-        try:
-            op = lane.gen.send(lane.inbox)
-        except StopIteration:
-            lane.finished = True
-            lane.inbox = None
-            self.group.work_item_finished()
-            return None
-        lane.inbox = None
-        return op
 
     def _wait_for_wake(self, live: List[_Lane]) -> Generator:
         """All lanes blocked: sleep until at least one can progress."""

@@ -89,7 +89,13 @@ class Cache:
         self.stats = CacheStats()
 
     def _set_for(self, line: int) -> OrderedDict:
-        return self._sets.setdefault(line % self.num_sets, OrderedDict())
+        # get-then-insert rather than setdefault, which would build (and
+        # drop) an empty OrderedDict on every lookup of an existing set.
+        index = line % self.num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        return cache_set
 
     def contains(self, line: int) -> bool:
         return line in self._set_for(line)

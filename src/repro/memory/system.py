@@ -11,6 +11,11 @@ Timing paths (all methods are process bodies for the simulation engine):
   DRAM channel, used to measure CPU throughput under GPU contention.
 * ``gpu_l1_flush_range`` — the manual software-coherence flush GENESYS
   performs before handing syscall buffers to the CPU.
+
+L1/L2 hit latencies and the atomic latency sleep through
+:meth:`~repro.sim.engine.Simulator.try_advance`: when nothing else is
+scheduled before they end, the clock moves in place instead of taking a
+heap round trip, with the same times and order as a yield.
 """
 
 from __future__ import annotations
@@ -79,11 +84,14 @@ class MemorySystem:
         """Timed GPU read of [addr, addr+size) through L1/L2/DRAM."""
         cfg = self.config
         l1 = self._l1(cu_id)
+        try_advance = self.sim.try_advance
         for line in lines_covering(addr, size, cfg.cacheline_bytes):
             if l1.access(line):
-                yield cfg.gpu_l1_hit_ns
+                if not try_advance(cfg.gpu_l1_hit_ns):
+                    yield cfg.gpu_l1_hit_ns
             elif self.l2.access(line):
-                yield cfg.gpu_l2_hit_ns
+                if not try_advance(cfg.gpu_l2_hit_ns):
+                    yield cfg.gpu_l2_hit_ns
             else:
                 yield cfg.gpu_l2_hit_ns
                 yield from self.dram.gpu_access(cfg.cacheline_bytes)
@@ -92,10 +100,12 @@ class MemorySystem:
         """Timed GPU write; modelled write-through to L2."""
         cfg = self.config
         l1 = self._l1(cu_id)
+        try_advance = self.sim.try_advance
         for line in lines_covering(addr, size, cfg.cacheline_bytes):
             l1.access(line)
             if self.l2.access(line):
-                yield cfg.gpu_l2_hit_ns
+                if not try_advance(cfg.gpu_l2_hit_ns):
+                    yield cfg.gpu_l2_hit_ns
             else:
                 yield cfg.gpu_l2_hit_ns
                 yield from self.dram.gpu_access(cfg.cacheline_bytes)
@@ -104,7 +114,8 @@ class MemorySystem:
         """Timed GPU atomic: L1-bypassing, L2-coherent (Section VI)."""
         latency = self.atomics.charge(op)
         line = addr // self.config.cacheline_bytes
-        yield latency
+        if not self.sim.try_advance(latency):
+            yield latency
         if not self.l2.access(line):
             yield from self.dram.gpu_access(self.config.cacheline_bytes)
 

@@ -16,6 +16,11 @@ Processes may raise :class:`Interrupted` at a yield point if another
 process calls :meth:`Process.interrupt`; this powers the halt-resume
 wavefront model.
 
+A process about to yield a plain delay may first call
+:meth:`Simulator.try_advance`: when nothing else could run before the
+delay ends, the clock moves in place and the process continues without
+a heap round trip — the same resume time, in the same order.
+
 Internals are event-driven and allocation-lean: combinators register
 direct callbacks on their children instead of spawning one watcher
 process per item, waiter bookkeeping is O(1) amortised (tombstones plus
@@ -426,17 +431,26 @@ HeapEntry = Tuple[float, int, Optional["Process"], Any, Optional[BaseException]]
 #: :attr:`Simulator.tie_break`.
 TieBreak = Callable[["Simulator", List[HeapEntry]], int]
 
+#: :attr:`Simulator._until` bounds: unbounded run / no run active.
+_FOREVER = float("inf")
+_NOT_RUNNING = float("-inf")
+
 
 class Simulator:
     """The discrete-event simulator: clock + event heap + process driver."""
 
-    __slots__ = ("now", "_heap", "_seq", "_active", "weak_scheduled", "tie_break")
+    __slots__ = (
+        "now", "_heap", "_seq", "_active", "_until", "weak_scheduled", "tie_break"
+    )
 
     def __init__(self) -> None:
         self.now: float = 0
         self._heap: List[HeapEntry] = []
         self._seq = 0
         self._active = 0
+        #: The active :meth:`run`'s stop time: ``inf`` for an unbounded
+        #: run, ``-inf`` outside any run (so :meth:`try_advance` fails).
+        self._until: float = _NOT_RUNNING
         #: Weak (clock-neutral) callbacks ever scheduled; lets tests
         #: assert that detached runs schedule zero metrics ticks.
         self.weak_scheduled = 0
@@ -531,6 +545,34 @@ class Simulator:
     def timer(self, delay: float, value: Any = None, name: str = "timer") -> Timer:
         """A cancellable wakeup: ``timer.event`` fires after ``delay`` ns."""
         return Timer(self, delay, value=value, name=name)
+
+    def try_advance(self, delay: float) -> bool:
+        """Sleep ``delay`` ns in place if no other entry could run first.
+
+        The fast path for a process about to ``yield delay``: returns
+        True, with the clock already at ``now + delay``, only when
+
+        * a :meth:`run` is active,
+        * no :attr:`tie_break` policy is set,
+        * the heap is empty or its earliest entry is strictly later
+          than ``now + delay`` (an entry at the same time has an earlier
+          ``seq`` and runs first; weak entries and tombstones block too),
+        * ``now + delay`` does not pass the active ``run(until)`` bound.
+
+        Then the yielded delay would be the very next entry popped, so
+        continuing inline reproduces the same clock trace and order.
+        Otherwise it returns False, leaves the clock alone, and the
+        caller yields as usual.  The sum is the one :meth:`_wait_on`
+        computes, so the clock lands on the same float either way.
+        """
+        when = self.now + delay
+        if when > self._until or self.tie_break is not None:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= when:
+            return False
+        self.now = when
+        return True
 
     # -- execution -----------------------------------------------------
 
@@ -665,18 +707,24 @@ class Simulator:
         """
         heap = self._heap
         step = self._step
-        if until is None:
-            while heap:
-                step()
-            return self.now
-        while heap:
-            if heap[0][0] > until:
-                self.now = until
+        outer = self._until  # a nested run (workqueue restore) keeps it
+        try:
+            if until is None:
+                self._until = _FOREVER
+                while heap:
+                    step()
                 return self.now
-            step()
-        if until > self.now:
-            self.now = until
-        return self.now
+            self._until = until
+            while heap:
+                if heap[0][0] > until:
+                    self.now = until
+                    return self.now
+                step()
+            if until > self.now:
+                self.now = until
+            return self.now
+        finally:
+            self._until = outer
 
     def run_process(self, generator: Generator[Any, Any, Any], name: str = "") -> Any:
         """Convenience: spawn ``generator``, run to completion, return its value."""

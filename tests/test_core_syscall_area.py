@@ -8,6 +8,7 @@ from repro.machine import MachineConfig, small_machine
 from repro.memory.system import MemorySystem
 from repro.oskernel.process import OsProcess
 from repro.sim.engine import Simulator
+from repro.system import System
 
 
 @pytest.fixture
@@ -128,10 +129,18 @@ class TestAddressing:
         area = SyscallArea(sim, config, MemorySystem(sim, config))
         assert area.num_slots == config.max_active_workitems
 
-    def test_slots_of_returns_wavefront_width(self, area):
-        slots = area.slots_of(2)
-        assert len(slots) == area.width
-        assert slots[0] is area.slot_for(2, 0)
+    def test_slots_of_yields_touched_slots_in_lane_order(self, area):
+        late = area.slot_for(2, 5)
+        early = area.slot_for(2, 1)
+        area.slot_for(3, 0)  # another wavefront's slot is not scanned
+        assert list(area.slots_of(2)) == [early, late]
+        assert list(area.slots_of(1)) == []
+
+    def test_slots_of_materialises_nothing(self, area):
+        touched = area.slot_for(2, 3)
+        for _ in area.slots_of(2):
+            pass
+        assert area.materialized() == [touched]
 
     def test_out_of_range_rejected(self, area):
         with pytest.raises(IndexError):
@@ -246,3 +255,40 @@ class TestProtocolErrorAccounting:
         slot.start_processing()
         assert slot.reclaim(-110) is not None
         assert slot.state is SlotState.FREE
+
+
+class TestScanSeesSlotsTouchedMidScan:
+    def test_slot_first_claimed_mid_scan_is_serviced_by_that_scan(self):
+        """The scan reads each lane's slot when it reaches it: a slot at a
+        higher lane first claimed while an earlier lane is being
+        serviced is dispatched by the same, already running scan."""
+        system = System(config=small_machine())
+        genesys = system.genesys
+        area = genesys.area
+        hw_id = 1
+        first = area.slot_for(hw_id, 0)
+        late_index = hw_id * area.width + area.width - 1
+        assert area._slots[late_index] is None
+
+        def publish(slot):
+            assert slot.try_claim()
+            slot.populate(
+                SyscallRequest("getrusage", (), True, genesys.host_process)
+            )
+            slot.set_ready()
+
+        publish(first)
+        dispatched = []
+
+        def on_dispatch(name, dispatched_hw_id, invocation_id):
+            dispatched.append(system.sim.now)
+            if len(dispatched) == 1:
+                publish(area.slot_for(hw_id, area.width - 1))
+
+        genesys.tp_dispatch.attach(on_dispatch)
+        system.sim.process(genesys._scan_task(1, [hw_id]))
+        system.sim.run()
+        late = area._slots[late_index]
+        assert len(dispatched) == 2 and dispatched[0] < dispatched[1]
+        assert first.state is SlotState.FINISHED
+        assert late.state is SlotState.FINISHED

@@ -10,8 +10,11 @@ from repro.gpu.ops import (
     Compute,
     Do,
     L1Flush,
+    LdsRead,
+    LdsWrite,
     MemRead,
     MemWrite,
+    Op,
     Sleep,
     WaitAll,
 )
@@ -280,6 +283,15 @@ class TestWavefrontOps:
         with pytest.raises(TypeError):
             launch_and_run(sim, gpu, kern, 1, 1)
 
+    def test_base_op_is_not_executable(self):
+        sim, _, _, gpu = make_system()
+
+        def kern(ctx):
+            yield Op()
+
+        with pytest.raises(TypeError, match="non-op"):
+            launch_and_run(sim, gpu, kern, 1, 1)
+
     def test_early_exit_lanes_dont_block_others(self):
         sim, _, _, gpu = make_system()
         done = []
@@ -292,3 +304,52 @@ class TestWavefrontOps:
 
         launch_and_run(sim, gpu, kern, 8, 8)
         assert sorted(done) == [1, 3, 5, 7]
+
+
+#: One instance of every concrete op; a new ``Op`` subclass must be
+#: added here, which puts it under the dispatch test below.
+SAMPLE_OPS = {
+    Compute: lambda sim: Compute(3),
+    MemRead: lambda sim: MemRead(0x1000, 8),
+    MemWrite: lambda sim: MemWrite(0x1000, 8),
+    Atomic: lambda sim: Atomic("swap", 0x2000),
+    Barrier: lambda sim: Barrier(),
+    Sleep: lambda sim: Sleep(5),
+    Do: lambda sim: Do(lambda: "done"),
+    WaitAll: lambda sim: WaitAll([sim.event().succeed()]),
+    LdsRead: lambda sim: LdsRead(0),
+    LdsWrite: lambda sim: LdsWrite(4),
+    L1Flush: lambda sim: L1Flush(0x1000, 64),
+}
+
+
+def concrete_op_classes():
+    found, todo = [], [Op]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return found
+
+
+class TestOpcodeDispatch:
+    def test_every_concrete_op_has_a_distinct_opcode(self):
+        classes = concrete_op_classes()
+        assert set(classes) == set(SAMPLE_OPS)
+        codes = [cls.opcode for cls in classes]
+        assert len(set(codes)) == len(codes)
+        assert Op.opcode not in codes
+
+    @pytest.mark.parametrize("cls", list(SAMPLE_OPS), ids=lambda cls: cls.__name__)
+    def test_wavefront_run_handles_every_opcode(self, cls):
+        sim, _, _, gpu = make_system()
+        after = []
+
+        def kern(ctx):
+            value = yield SAMPLE_OPS[cls](sim)
+            after.append((ctx.local_id, value))
+
+        launch_and_run(sim, gpu, kern, 2, 2)
+        expected = "done" if cls is Do else None
+        assert after == [(0, expected), (1, expected)]
+        assert gpu.wavefront_stats["lane_ops"] == 4

@@ -1,10 +1,16 @@
 """Unit tests for atomics, DRAM, buffers, and the assembled memory system."""
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.gpu.device import Gpu, KernelLaunch
+from repro.gpu.ops import Atomic, MemRead, MemWrite, Sleep
 from repro.machine import MachineConfig, small_machine
 from repro.memory.atomics import ATOMIC_OPS, AtomicCostModel
 from repro.memory.buffers import AddressAllocator, Buffer
+from repro.memory.cache import lines_covering
 from repro.memory.system import MemorySystem
 from repro.sim.engine import Simulator
 
@@ -200,3 +206,145 @@ class TestMemorySystem:
 
         with pytest.raises(IndexError):
             sim.run_process(body())
+
+
+class AlwaysYieldMemorySystem(MemorySystem):
+    """Reference memory system: every hit and atomic latency is a plain
+    yield (a heap round trip), as before ``Simulator.try_advance``."""
+
+    def gpu_load(self, cu_id, addr, size):
+        cfg = self.config
+        l1 = self._l1(cu_id)
+        for line in lines_covering(addr, size, cfg.cacheline_bytes):
+            if l1.access(line):
+                yield cfg.gpu_l1_hit_ns
+            elif self.l2.access(line):
+                yield cfg.gpu_l2_hit_ns
+            else:
+                yield cfg.gpu_l2_hit_ns
+                yield from self.dram.gpu_access(cfg.cacheline_bytes)
+
+    def gpu_store(self, cu_id, addr, size):
+        cfg = self.config
+        l1 = self._l1(cu_id)
+        for line in lines_covering(addr, size, cfg.cacheline_bytes):
+            l1.access(line)
+            if self.l2.access(line):
+                yield cfg.gpu_l2_hit_ns
+            else:
+                yield cfg.gpu_l2_hit_ns
+                yield from self.dram.gpu_access(cfg.cacheline_bytes)
+
+    def gpu_atomic(self, op, addr):
+        latency = self.atomics.charge(op)
+        line = addr // self.config.cacheline_bytes
+        yield latency
+        if not self.l2.access(line):
+            yield from self.dram.gpu_access(self.config.cacheline_bytes)
+
+
+class CountingSimulator(Simulator):
+    """Counts the sleeps ``try_advance`` took in place."""
+
+    __slots__ = ("advanced",)
+
+    def __init__(self):
+        super().__init__()
+        self.advanced = 0
+
+    def try_advance(self, delay):
+        if super().try_advance(delay):
+            self.advanced += 1
+            return True
+        return False
+
+
+#: Two CUs with two wavefront slots each and 4-wide wavefronts: a
+#: 12-item kernel of 4-item groups puts two wavefronts on CU 0 and one on
+#: CU 1.  Small caches so streams both hit and evict.
+ORACLE_CONFIG = replace(
+    small_machine(),
+    wavefront_slots_per_cu=2,
+    wavefront_width=4,
+    gpu_l1_lines=8,
+    gpu_l2_lines=16,
+)
+ORACLE_LANES = 12
+LANE_OP = st.one_of(
+    st.tuples(st.just("read"), st.integers(0, 23), st.integers(1, 200)),
+    st.tuples(st.just("write"), st.integers(0, 23), st.integers(1, 200)),
+    st.tuples(st.just("atomic"), st.integers(0, 23), st.sampled_from(ATOMIC_OPS)),
+    st.tuples(st.just("sleep"), st.sampled_from([0, 30, 45.5, 180]), st.just(None)),
+)
+LANE_STREAMS = st.lists(
+    st.lists(LANE_OP, max_size=6), min_size=ORACLE_LANES, max_size=ORACLE_LANES
+)
+
+
+def run_streams(mem_cls, streams):
+    """Run one lane stream per work-item; returns everything observable
+    about the memory system plus the sleeps advanced in place."""
+    sim = CountingSimulator()
+    mem = mem_cls(sim, ORACLE_CONFIG)
+    gpu = Gpu(sim, ORACLE_CONFIG, mem)
+    base = mem.alloc(24 * ORACLE_CONFIG.cacheline_bytes + 256)
+    l1_hits = []
+    mem.probes.get("mem.l1.hit").attach(lambda line: l1_hits.append((sim.now, line)))
+    lane_log = []
+
+    def kern(ctx):
+        lane_log.append((sim.now, ctx.global_id, "cu", ctx.group.cu_id))
+        for index, (kind, where, arg) in enumerate(streams[ctx.global_id]):
+            addr = base + where * 50
+            if kind == "read":
+                yield MemRead(addr, arg)
+            elif kind == "write":
+                yield MemWrite(addr, arg)
+            elif kind == "atomic":
+                yield Atomic(arg, addr)
+            else:
+                yield Sleep(where)
+            lane_log.append((sim.now, ctx.global_id, index))
+
+    def body():
+        yield gpu.launch(KernelLaunch(kern, ORACLE_LANES, ORACLE_CONFIG.wavefront_width))
+
+    sim.run_process(body())
+    caches = [mem.l2] + mem.l1s
+    observed = {
+        "now": sim.now,
+        "stats": [cache.stats for cache in caches],
+        "lru": [
+            [(index, list(lines)) for index, lines in sorted(cache._sets.items())]
+            for cache in caches
+        ],
+        "dram": (mem.dram.bytes_moved, mem.dram.gpu_accesses),
+        "atomics": dict(mem.atomics.counts),
+        "l1_hits": l1_hits,
+        "lanes": lane_log,
+    }
+    return observed, sim.advanced
+
+
+class TestHitFastPathOracle:
+    @given(LANE_STREAMS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_always_yield_reference(self, streams):
+        fast, _ = run_streams(MemorySystem, streams)
+        reference, advanced = run_streams(AlwaysYieldMemorySystem, streams)
+        assert advanced == 0
+        assert fast == reference
+
+    def test_placement_and_fast_path_exercised(self):
+        # Lane 0 of each wavefront rereads one line; the others idle.
+        stream = [("read", 0, 64)] * 4 + [("atomic", 1, "atomic-load")] * 2
+        streams = [
+            stream if gid % ORACLE_CONFIG.wavefront_width == 0 else []
+            for gid in range(ORACLE_LANES)
+        ]
+        fast, advanced = run_streams(MemorySystem, streams)
+        reference, _ = run_streams(AlwaysYieldMemorySystem, streams)
+        assert fast == reference
+        cus = [entry[3] for entry in fast["lanes"] if entry[2] == "cu"]
+        assert sorted(cus) == [0] * 8 + [1] * 4
+        assert fast["l1_hits"] and advanced > 0

@@ -3,9 +3,12 @@
 Covers the refactor's edge cases: O(1)-amortised waiter discard under
 wide ``AnyOf`` fan-out, ``Event.fail`` propagation through combinators,
 re-yielding already-triggered events, cancellable timers interacting
-with ``run(until=...)``, and the absolute-time wakeup primitive."""
+with ``run(until=...)``, the absolute-time wakeup primitive, and the
+in-place clock advance (``Simulator.try_advance``) against an engine
+that always takes the heap."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import (
     AllOf,
@@ -287,3 +290,194 @@ class TestAbsoluteWakeups:
         sim.process(waiter())
         sim.run()
         assert seen[0][1] == seen[1][1]
+
+
+class AlwaysYieldSimulator(Simulator):
+    """Reference engine: ``try_advance`` always declines, so every sleep
+    is a heap entry popped by ``run()`` — the slow path it replaces."""
+
+    __slots__ = ()
+
+    def try_advance(self, delay):
+        return False
+
+
+#: Ties, zeros and inexact float sums all occur among these.
+DELAYS = st.sampled_from([0, 0, 1, 2, 3, 5, 0.1, 0.2, 0.5, 1.25])
+STEP_KINDS = ("advance", "advance", "yield", "timer", "cancelled", "weak", "strong")
+PROGRAMS = st.lists(
+    st.tuples(
+        DELAYS,  # start offset
+        st.lists(st.tuples(st.sampled_from(STEP_KINDS), DELAYS), max_size=10),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _pending(sim):
+    """Heap entries in pop order, labelled (``seq`` values differ between
+    engines by design, so only their order is compared)."""
+    labels = []
+    for when, _seq, proc, value, _exc in sorted(sim._heap, key=lambda e: e[:2]):
+        if proc is not None:
+            labels.append((when, proc.name))
+        elif value.fn is None:
+            labels.append((when, "tombstone"))
+        else:
+            labels.append((when, "weak" if value.weak else "strong"))
+    return labels
+
+
+def simulate(sim_cls, programs, until):
+    """Run ``programs`` on a fresh ``sim_cls``; returns the
+    ``(now, process, step)`` trace, the ``run(until)`` stop state, the
+    final clock and how many sleeps advanced in place."""
+    sim = sim_cls()
+    trace = []
+    advanced = [0]
+
+    def body(pid, steps):
+        for index, (kind, delay) in enumerate(steps):
+            trace.append((sim.now, pid, index))
+            if kind == "advance":
+                if sim.try_advance(delay):
+                    advanced[0] += 1
+                else:
+                    yield delay
+            elif kind == "yield":
+                yield delay
+            elif kind == "timer":
+                yield sim.timer(delay).event
+            elif kind == "cancelled":
+                sim.timer(delay).cancel()  # a tombstone left in the heap
+            else:
+                sim.call_later(
+                    delay,
+                    lambda pid=pid, index=index, kind=kind: trace.append(
+                        (sim.now, f"{kind}:{pid}", index)
+                    ),
+                    weak=kind == "weak",
+                )
+        trace.append((sim.now, pid, "end"))
+
+    for pid, (start, steps) in enumerate(programs):
+        sim.call_later(
+            start, lambda pid=pid, steps=steps: sim.process(body(pid, steps), name=f"p{pid}")
+        )
+    stop = None
+    if until is not None:
+        stop = (sim.run(until=until), list(trace), _pending(sim))
+    final = sim.run()
+    return trace, stop, final, advanced[0]
+
+
+class TestTryAdvanceOracle:
+    @given(PROGRAMS, st.one_of(st.none(), st.sampled_from([0, 1, 2.5, 4, 7])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_always_yield_reference(self, programs, until):
+        fast = simulate(Simulator, programs, until)
+        reference = simulate(AlwaysYieldSimulator, programs, until)
+        assert reference[3] == 0
+        assert fast[:3] == reference[:3]
+
+    def test_fast_path_taken_and_saves_heap_entries(self):
+        programs = [(0, [("advance", 1), ("advance", 0.1), ("advance", 0.2)])]
+        trace, _stop, final, advanced = simulate(Simulator, programs, None)
+        assert advanced == 3
+        assert final == 1 + 0.1 + 0.2
+        assert trace == simulate(AlwaysYieldSimulator, programs, None)[0]
+
+        def three_sleeps(sim):
+            for _ in range(3):
+                if not sim.try_advance(1):
+                    yield 1
+
+        for cls, entries in ((Simulator, 1), (AlwaysYieldSimulator, 4)):
+            sim = cls()
+            sim.process(three_sleeps(sim))
+            sim.run()
+            assert (sim.now, sim._seq) == (3, entries)
+
+
+class TestTryAdvanceConditions:
+    def test_false_outside_run(self, sim):
+        assert not sim.try_advance(5)
+        assert sim.now == 0
+        sim.run()
+        assert not sim.try_advance(5)
+
+    def test_false_with_tie_break_set(self, sim):
+        results = []
+
+        def body():
+            results.append(sim.try_advance(5))
+            yield 0
+
+        sim.tie_break = lambda _sim, ready: 0
+        sim.process(body())
+        sim.run()
+        assert results == [False]
+
+    def test_false_past_until(self, sim):
+        results = []
+
+        def body():
+            yield 8
+            results.append((sim.try_advance(5), sim.now))
+            results.append((sim.try_advance(2), sim.now))  # lands on until
+            yield 1
+
+        sim.process(body())
+        assert sim.run(until=10) == 10
+        assert results == [(False, 8), (True, 10)]
+
+    def test_false_when_entry_due_at_same_time(self, sim):
+        results = []
+
+        def other():
+            yield 5
+
+        def body():
+            results.append(sim.try_advance(5))  # other's entry is due at 5
+            results.append(sim.try_advance(4))
+            yield 0
+
+        sim.process(other())
+        sim.run(until=0)  # start other: it now sleeps until t=5
+        sim.process(body())
+        sim.run()
+        assert results == [False, True]
+
+    def test_weak_entries_and_tombstones_block(self, sim):
+        results = []
+
+        def body():
+            sim.call_later(2, lambda: None, weak=True)
+            results.append(sim.try_advance(3))
+            yield 3
+            sim.timer(1).cancel()
+            results.append(sim.try_advance(1))
+            results.append(sim.try_advance(0.5))
+
+        sim.process(body())
+        sim.run()
+        assert results == [False, False, True]
+
+    def test_nested_run_restores_bound(self, sim):
+        results = []
+
+        def spawned():
+            yield 0
+
+        def body():
+            sim.process(spawned())
+            sim.run()  # nested, unbounded: drains the spawn entry
+            results.append(sim.try_advance(20))  # past the outer until
+            results.append(sim.try_advance(4))
+            yield 1
+
+        sim.process(body())
+        assert sim.run(until=10) == 10
+        assert results == [False, True]
+        assert not sim.try_advance(1)
