@@ -1,7 +1,8 @@
 """Tracepoint-to-estimator feeds and the default metric catalog.
 
 A *feed* is a pure observer: attached to one tracepoint, it timestamps
-the fire via the hub and folds the arguments into a windowed estimator.
+the fire from the hub's simulator and folds the arguments into a
+windowed estimator.
 Feeds are closure-free classes (SLOT002) so a System carrying an
 installed hub stays checkpointable, and they never touch simulator
 state — the only side effect beyond their own accumulators is asking
@@ -17,7 +18,7 @@ plus the gauge-grade fire sites added alongside this package
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.metrics.series import (
     LevelSeries,
@@ -47,7 +48,29 @@ def _as_float(value: object) -> float:
     return float(value) if value is not None else 0.0
 
 
-class CountFeed:
+class _Feed:
+    """Base of the feeds: one tracepoint's tap into one estimator."""
+
+    __slots__ = ("hub", "metric", "clock")
+
+    def __init__(self, hub: "MetricsHub", metric: Any) -> None:
+        self.hub = hub
+        self.metric = metric
+        #: The hub's bound simulator, read directly on every fire.
+        self.clock = hub.clock
+
+    def _stamp(self) -> float:
+        """The sample's sim time; parks the hub's flush tick on the
+        next window boundary when none is pending."""
+        t_ns = self.clock.now
+        hub = self.hub
+        handle = hub._tick_handle
+        if handle is None or handle.fn is None:  # type: ignore[attr-defined]
+            hub._arm(t_ns)
+        return t_ns
+
+
+class CountFeed(_Feed):
     """Count fires (or accumulate ``args[amount_arg]``) into a counter.
 
     ``gate_arg`` skips fires whose flagged argument is truthy (used to
@@ -55,7 +78,7 @@ class CountFeed:
     lifetime total by that argument (drop reasons).
     """
 
-    __slots__ = ("hub", "metric", "amount_arg", "key_arg", "gate_arg")
+    __slots__ = ("amount_arg", "key_arg", "gate_arg")
 
     def __init__(
         self,
@@ -65,8 +88,7 @@ class CountFeed:
         key_arg: Optional[int] = None,
         gate_arg: Optional[int] = None,
     ) -> None:
-        self.hub = hub
-        self.metric = metric
+        super().__init__(hub, metric)
         self.amount_arg = amount_arg
         self.key_arg = key_arg
         self.gate_arg = gate_arg
@@ -74,7 +96,7 @@ class CountFeed:
     def __call__(self, *args: object) -> None:
         if self.gate_arg is not None and args[self.gate_arg]:
             return
-        t_ns = self.hub.pulse()
+        t_ns = self._stamp()
         amount = (
             _as_float(args[self.amount_arg])
             if self.amount_arg is not None
@@ -84,27 +106,26 @@ class CountFeed:
         self.metric.add(t_ns, amount, key=key)
 
 
-class ObserveFeed:
+class ObserveFeed(_Feed):
     """Feed ``args[value_arg]`` into a log2 histogram."""
 
-    __slots__ = ("hub", "metric", "value_arg")
+    __slots__ = ("value_arg",)
 
     def __init__(
         self, hub: "MetricsHub", metric: WindowedLog2Histogram, value_arg: int
     ) -> None:
-        self.hub = hub
-        self.metric = metric
+        super().__init__(hub, metric)
         self.value_arg = value_arg
 
     def __call__(self, *args: object) -> None:
-        self.metric.observe(self.hub.pulse(), _as_float(args[self.value_arg]))
+        self.metric.observe(self._stamp(), _as_float(args[self.value_arg]))
 
 
-class GaugeFeed:
+class GaugeFeed(_Feed):
     """Sample ``args[value_arg]`` (optionally ``/ args[den_arg]``) into a
     gauge."""
 
-    __slots__ = ("hub", "metric", "value_arg", "den_arg")
+    __slots__ = ("value_arg", "den_arg")
 
     def __init__(
         self,
@@ -113,13 +134,12 @@ class GaugeFeed:
         value_arg: int,
         den_arg: Optional[int] = None,
     ) -> None:
-        self.hub = hub
-        self.metric = metric
+        super().__init__(hub, metric)
         self.value_arg = value_arg
         self.den_arg = den_arg
 
     def __call__(self, *args: object) -> None:
-        t_ns = self.hub.pulse()
+        t_ns = self._stamp()
         value = _as_float(args[self.value_arg])
         if self.den_arg is not None:
             den = _as_float(args[self.den_arg])
@@ -127,12 +147,12 @@ class GaugeFeed:
         self.metric.set(t_ns, value)
 
 
-class LevelFeed:
+class LevelFeed(_Feed):
     """Track a time-weighted level: ``args[num_arg]`` scaled by
     ``args[den_arg]`` when given (busy workers / pool size, halted
     wavefronts / live wavefronts)."""
 
-    __slots__ = ("hub", "metric", "num_arg", "den_arg")
+    __slots__ = ("num_arg", "den_arg")
 
     def __init__(
         self,
@@ -141,13 +161,12 @@ class LevelFeed:
         num_arg: int,
         den_arg: Optional[int] = None,
     ) -> None:
-        self.hub = hub
-        self.metric = metric
+        super().__init__(hub, metric)
         self.num_arg = num_arg
         self.den_arg = den_arg
 
     def __call__(self, *args: object) -> None:
-        t_ns = self.hub.pulse()
+        t_ns = self._stamp()
         level = _as_float(args[self.num_arg])
         if self.den_arg is not None:
             den = _as_float(args[self.den_arg])
@@ -155,12 +174,12 @@ class LevelFeed:
         self.metric.set(t_ns, level)
 
 
-class RatioFeed:
+class RatioFeed(_Feed):
     """Accumulate ``args[amount_arg]`` into a ratio's numerator and/or
     denominator — attach one per contributing tracepoint (page-cache
     hits feed num+den, misses feed den only)."""
 
-    __slots__ = ("hub", "metric", "amount_arg", "to_num")
+    __slots__ = ("amount_arg", "to_num")
 
     def __init__(
         self,
@@ -169,34 +188,32 @@ class RatioFeed:
         amount_arg: int,
         to_num: bool,
     ) -> None:
-        self.hub = hub
-        self.metric = metric
+        super().__init__(hub, metric)
         self.amount_arg = amount_arg
         self.to_num = to_num
 
     def __call__(self, *args: object) -> None:
         amount = _as_float(args[self.amount_arg])
         self.metric.add(
-            self.hub.pulse(), amount if self.to_num else 0.0, amount
+            self._stamp(), amount if self.to_num else 0.0, amount
         )
 
 
-class ShareFeed:
+class ShareFeed(_Feed):
     """Accumulate the share of fires whose ``args[flag_arg]`` is truthy
     (suppressed-IRQ share)."""
 
-    __slots__ = ("hub", "metric", "flag_arg")
+    __slots__ = ("flag_arg",)
 
     def __init__(
         self, hub: "MetricsHub", metric: WindowedRatio, flag_arg: int
     ) -> None:
-        self.hub = hub
-        self.metric = metric
+        super().__init__(hub, metric)
         self.flag_arg = flag_arg
 
     def __call__(self, *args: object) -> None:
         self.metric.add(
-            self.hub.pulse(), 1.0 if args[self.flag_arg] else 0.0, 1.0
+            self._stamp(), 1.0 if args[self.flag_arg] else 0.0, 1.0
         )
 
 

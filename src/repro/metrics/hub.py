@@ -19,7 +19,7 @@ inside the scope gets its own hub, discoverable afterwards through
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.collectors import (
     CATALOG,
@@ -55,6 +55,8 @@ class MetricsHub:
         self.label = label
         self.catalog = catalog
         self.registry: Optional[ProbeRegistry] = None
+        #: The registry's clock, which every feed stamps samples from.
+        self.clock: Any = None
         self.metrics: Dict[str, WindowedSeries] = {}
         self.specs: Dict[str, MetricSpec] = {}
         self.ticks = 0
@@ -71,6 +73,7 @@ class MetricsHub:
         ``registry``; unknown tracepoints are skipped so a hub works on
         partial rigs (unit-test registries) too."""
         self.registry = registry
+        self.clock = registry.clock
         for spec in self.catalog:
             estimator = build_estimator(spec, self.window_ns, self.max_windows)
             self.metrics[spec.name] = estimator
@@ -87,16 +90,6 @@ class MetricsHub:
 
     def now(self) -> float:
         return self.registry.now() if self.registry is not None else 0.0
-
-    def pulse(self) -> float:
-        """Called by every feed on every fire: return the sample's sim
-        timestamp and make sure a flush tick is parked on the next
-        window boundary."""
-        now = self.now()
-        handle = self._tick_handle
-        if handle is None or handle.fn is None:  # type: ignore[attr-defined]
-            self._arm(now)
-        return now
 
     def _arm(self, now: float) -> None:
         if self.registry is None or self.registry.sim is None:

@@ -107,7 +107,9 @@ class WindowedSeries:
 
     def _note(self, index: int) -> None:
         """Route a sample timestamped into window ``index``: close the
-        current window first if the sample belongs to a later one."""
+        current window first if the sample belongs to a later one.
+        A no-op when ``index`` is the current window, so the sample
+        methods call it only when the index changed."""
         cur = self._cur_index
         if cur is None:
             self._cur_index = index
@@ -171,7 +173,9 @@ class WindowedCounter(WindowedSeries):
         self.ewma = EwmaRate(ewma_alpha)
 
     def add(self, t_ns: float, n: float = 1.0, key: object = None) -> None:
-        self._note(self.index_of(t_ns))
+        index = int(t_ns // self.window_ns)
+        if index != self._cur_index:
+            self._note(index)
         self._count += n
         self.total += n
         if key is not None:
@@ -228,7 +232,9 @@ class WindowedRatio(WindowedSeries):
         self.total_den = 0.0
 
     def add(self, t_ns: float, num: float, den: float) -> None:
-        self._note(self.index_of(t_ns))
+        index = int(t_ns // self.window_ns)
+        if index != self._cur_index:
+            self._note(index)
         self._num += num
         self._den += den
         self.total_num += num
@@ -274,7 +280,9 @@ class WindowedGauge(WindowedSeries):
         self.last: Optional[float] = None
 
     def set(self, t_ns: float, value: float) -> None:
-        self._note(self.index_of(t_ns))
+        index = int(t_ns // self.window_ns)
+        if index != self._cur_index:
+            self._note(index)
         value = float(value)
         if self._n == 0:
             self._min = value
@@ -358,7 +366,9 @@ class WindowedLog2Histogram(WindowedSeries):
         self.lifetime_count = 0
 
     def observe(self, t_ns: float, value: float) -> None:
-        self._note(self.index_of(t_ns))
+        index = int(t_ns // self.window_ns)
+        if index != self._cur_index:
+            self._note(index)
         value = float(value)
         bucket = log2_bucket(value)
         self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
@@ -483,7 +493,17 @@ class LevelSeries(WindowedSeries):
         self._last_t = t_ns
 
     def set(self, t_ns: float, level: float) -> None:
-        self._advance_to(t_ns)
+        last_t, cur = self._last_t, self._cur_index
+        if (
+            last_t is not None
+            and cur is not None
+            and last_t < t_ns < (cur + 1) * self.window_ns
+        ):
+            # Later, but inside the open window: _advance_to's last step.
+            self._area += self._level * (t_ns - last_t)
+            self._last_t = t_ns
+        else:
+            self._advance_to(t_ns)
         self._level = float(level)
 
     def _close(self) -> object:  # pragma: no cover - flush path used instead

@@ -170,6 +170,9 @@ class WorkQueue:
         self._private: List[Store] = [
             Store(sim, name=f"wq:{name}/{i}") for i in range(self.num_workers)
         ]
+        #: The private queues a ``wq.worker`` policy ever pinned a task
+        #: to, in first-pin order: the only ones that can hold backlog.
+        self._pinned: List[Store] = []
         self._workers: List[Process] = [
             sim.process(self._worker_loop(i), name=f"{name}/{i}")
             for i in range(self.num_workers)
@@ -237,7 +240,7 @@ class WorkQueue:
 
     @property
     def backlog(self) -> int:
-        return len(self._tasks) + sum(len(s) for s in self._private)
+        return len(self._tasks) + sum(map(len, self._pinned))
 
     @property
     def outstanding(self) -> int:
@@ -254,11 +257,15 @@ class WorkQueue:
             choice = self.hook_worker.decide(None, index, self.num_workers)
             if isinstance(choice, int) and 0 <= choice < self.num_workers:
                 queue = self._private[choice]
+                if queue not in self._pinned:
+                    self._pinned.append(queue)
         queue.put(record)
-        if self.tp_enqueue.enabled:
-            self.tp_enqueue.fire(self.backlog, index)
-        if self.tp_depth.enabled:
-            self.tp_depth.fire(self.backlog)
+        if self.tp_enqueue.enabled or self.tp_depth.enabled:
+            backlog = self.backlog
+            if self.tp_enqueue.enabled:
+                self.tp_enqueue.fire(backlog, index)
+            if self.tp_depth.enabled:
+                self.tp_depth.fire(backlog)
 
     def _worker_loop(self, worker_id: int) -> Generator:
         private = self._private[worker_id]

@@ -112,6 +112,14 @@ class _NullTracepoint(Tracepoint):
 NULL_TRACEPOINT = _NullTracepoint("<null>")
 
 
+class _StoppedClock:
+    """The clock of a registry built without a simulator: always 0."""
+
+    __slots__ = ()
+
+    now = 0.0
+
+
 class ProbeRegistry:
     """All tracepoints and policy hooks of one simulated machine.
 
@@ -210,6 +218,12 @@ class ProbeRegistry:
     def now(self) -> float:
         """Current simulated time (0.0 when no simulator is bound)."""
         return self.sim.now if self.sim is not None else 0.0
+
+    @property
+    def clock(self) -> Any:
+        """What ``now`` reads: the simulator, or a clock stopped at 0.
+        Per-fire observers keep it and read ``clock.now`` directly."""
+        return self.sim if self.sim is not None else _StoppedClock()
 
     def catalogue(self) -> Dict[str, dict]:
         """Name → {args, doc, kind} for every tracepoint and hook."""

@@ -43,8 +43,7 @@ the moment of detection.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.probes.tracepoints import ProbeRegistry
 
@@ -100,6 +99,63 @@ _EVENT_AGENT = {
     "slot.transition": None,  # actor argument
     "slot.protocol_error": None,  # actor argument
 }
+
+#: Where the events attributed to ``None`` above carry their actor.
+_ACTOR_ARG = {"slot.transition": 3, "slot.protocol_error": 2}
+
+#: The :class:`GSan` method checking each tracepoint's events; the rest
+#: only extend the scoped timelines and advance the vector clocks.
+_HANDLERS = {
+    "slot.transition": "_on_slot_transition",
+    "slot.protocol_error": "_on_protocol_error",
+    "syscall.claim": "_on_claim",
+    "syscall.submit": "_on_submit",
+    "syscall.dispatch": "_on_dispatch",
+    "syscall.complete": "_on_complete",
+    "syscall.resume": "_on_resume",
+    "recover.slot_reclaim": "_on_reclaim",
+    "wq.enqueue": "_on_wq_enqueue",
+    "wq.dequeue": "_on_wq_dequeue",
+    "wq.complete": "_on_wq_complete",
+    "recover.requeue": "_on_requeue",
+    "recover.forfeit": "_on_forfeit",
+    "scan.enqueue": "_on_scan_enqueue",
+    "scan.start": "_on_scan_start",
+    "wavefront.halt": "_on_wf_halt",
+    "wavefront.resume": "_on_wf_resume",
+}
+
+#: One timeline entry: ``(t, tracepoint, values or their text, agent)``.
+_Entry = Tuple[float, str, Any, str]
+
+#: Argument types whose ``repr`` cannot change after the fire.
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
+def _frozen(values: Tuple[Any, ...]) -> bool:
+    """Whether rendering ``values`` later gives the text rendering them
+    now would: every value is a scalar of :data:`_SCALARS` or a tuple
+    of them.  Callers test the all-scalar case inline first."""
+    for value in values:
+        cls = type(value)
+        if cls is tuple:
+            if not _SCALARS.issuperset(map(type, value)):
+                return False
+        elif cls not in _SCALARS:
+            return False
+    return True
+
+
+def _render_args(values: Tuple[Any, ...]) -> str:
+    """One event's arguments as timeline text (long reprs elided)."""
+    parts = []
+    for value in values:
+        text = repr(value)
+        if len(text) > 48:
+            text = text[:45] + "..."
+        parts.append(text)
+    return ", ".join(parts)
+
 
 #: Pure-telemetry gauges: events that sample a derived quantity (queue
 #: depth, occupancy, sojourn time) and carry no protocol identity.  No
@@ -276,21 +332,66 @@ class _TaskTrack:
 class _GsanObserver:
     """One tracepoint's tap into a :class:`GSan`.
 
+    Everything fixed per tracepoint — the agent its events are
+    attributed to and the handler that checks them — is resolved once,
+    here, so a fire pays only for the work that depends on its values.
+    ``slot.transition`` and ``slot.protocol_error`` name their actor in
+    an argument instead.
+
     A class rather than a closure so a checkpoint taken with GSan
     attached can pickle the observer (and the sanitizer state behind
     it) and the resumed run keeps sanitizing seamlessly.
     """
 
-    __slots__ = ("sanitizer", "name")
+    __slots__ = ("sanitizer", "name", "agent", "actor_arg", "handler", "clock")
 
-    def __init__(self, sanitizer: "GSan", name: str) -> None:
+    def __init__(self, sanitizer: "GSan", name: str, clock: Any = None) -> None:
         self.sanitizer = sanitizer
         self.name = name
+        self.agent = _EVENT_AGENT.get(name, "cpu")
+        self.actor_arg = _ACTOR_ARG.get(name, -1)  # read only if agent is None
+        handler = _HANDLERS.get(name)
+        self.handler = getattr(sanitizer, handler) if handler else None
+        #: What live fires read ``now`` from; replayed events bring
+        #: their own timestamps and leave it None.
+        self.clock = clock
 
     def __call__(self, *values: Any) -> None:
+        self.deliver(self.clock.now, values)
+
+    def deliver(self, t: float, values: Tuple[Any, ...]) -> None:
+        """Process one event: the one body behind live fires and
+        :meth:`GSan.feed`."""
         sanitizer = self.sanitizer
-        assert sanitizer.registry is not None
-        sanitizer.feed(self.name, sanitizer.registry.now(), *values)
+        sanitizer.events += 1
+        agent = self.agent
+        clocks = sanitizer.clocks
+        if agent is None:
+            agent = values[self.actor_arg]
+            if agent not in clocks:
+                agent = "cpu"
+        clocks[agent] += 1
+        keep = sanitizer.max_timeline
+        if keep:
+            # Raw values, rendered only if a violation reports them;
+            # anything whose text could change by then is rendered now.
+            entry: _Entry
+            if _SCALARS.issuperset(map(type, values)) or _frozen(values):
+                entry = (t, self.name, values, agent)
+            else:
+                entry = (t, self.name, _render_args(values), agent)
+            timelines = sanitizer._timelines
+            for scope in event_scopes(self.name, values):
+                timeline = timelines.get(scope)
+                if timeline is None:
+                    timelines[scope] = [entry]
+                else:
+                    timeline.append(entry)
+                    if len(timeline) >= 2 * keep:
+                        del timeline[:-keep]
+        handler = self.handler
+        if handler is not None:
+            handler(t, agent, values)
 
 
 class GSan:
@@ -306,38 +407,25 @@ class GSan:
     tracepoint = None
 
     def __init__(self, max_timeline: int = 64) -> None:
+        if max_timeline < 0:
+            raise ValueError(f"max_timeline must be >= 0, got {max_timeline}")
         self.registry: Optional[ProbeRegistry] = None
         self.max_timeline = max_timeline
         self.clocks: Dict[str, int] = {agent: 0 for agent in AGENTS}
         self.events = 0
         self.violations: List[Violation] = []
         self.defended_races = 0  # stale finishes the protocol refused
-        self._timelines: Dict[str, Deque] = {}
+        #: scope -> ``(t, tracepoint, values, agent)`` entries, newest
+        #: last; trimmed to the last ``max_timeline`` whenever it
+        #: doubles.  ``values`` is the fire's tuple, or its rendered
+        #: text when a value could still change.
+        self._timelines: Dict[str, List[_Entry]] = {}
         self._slots: Dict[int, _SlotTrack] = {}
         self._invocations: Dict[int, _InvocationTrack] = {}
         self._tasks: Dict[int, _TaskTrack] = {}
         self._scans: Dict[int, bool] = {}  # scan_id -> started
         self._halted: Dict[int, bool] = {}  # hw_id -> wavefront asleep
         self._finished = False
-        self._handlers: Dict[str, Callable] = {
-            "slot.transition": self._on_slot_transition,
-            "slot.protocol_error": self._on_protocol_error,
-            "syscall.claim": self._on_claim,
-            "syscall.submit": self._on_submit,
-            "syscall.dispatch": self._on_dispatch,
-            "syscall.complete": self._on_complete,
-            "syscall.resume": self._on_resume,
-            "recover.slot_reclaim": self._on_reclaim,
-            "wq.enqueue": self._on_wq_enqueue,
-            "wq.dequeue": self._on_wq_dequeue,
-            "wq.complete": self._on_wq_complete,
-            "recover.requeue": self._on_requeue,
-            "recover.forfeit": self._on_forfeit,
-            "scan.enqueue": self._on_scan_enqueue,
-            "scan.start": self._on_scan_start,
-            "wavefront.halt": self._on_wf_halt,
-            "wavefront.resume": self._on_wf_resume,
-        }
 
     # -- attachment --------------------------------------------------------
 
@@ -345,50 +433,16 @@ class GSan:
         """Attach pure observers for every tracepoint GSan understands."""
         self.registry = registry
         for name in _EVENT_AGENT:
-            if name not in registry.tracepoints:
-                continue
-            registry.attach(name, self._make_observer(name))
+            if name in registry.tracepoints:
+                registry.attach(name, _GsanObserver(self, name, registry.clock))
         registry.programs.append(self)
         return self
-
-    def _make_observer(self, name: str) -> Callable:
-        return _GsanObserver(self, name)
 
     # -- the event pump ----------------------------------------------------
 
     def feed(self, name: str, t: float, *values: Any) -> None:
-        """Process one event (from a live observer or a replayed stream)."""
-        self.events += 1
-        agent = _EVENT_AGENT.get(name, "cpu")
-        if agent is None:
-            # slot.transition carries actor at index 3,
-            # slot.protocol_error at index 2.
-            agent = values[3] if name == "slot.transition" else values[2]
-            if agent not in self.clocks:
-                agent = "cpu"
-        self.clocks[agent] += 1
-        entry = (t, name, self._fmt_args(values), agent, False)
-        for scope in self._scopes(name, values):
-            self._timelines.setdefault(
-                scope, deque(maxlen=self.max_timeline)
-            ).append(entry)
-        handler = self._handlers.get(name)
-        if handler is not None:
-            handler(t, agent, values)
-
-    @staticmethod
-    def _fmt_args(values: Tuple) -> str:
-        parts = []
-        for value in values:
-            text = repr(value)
-            if len(text) > 48:
-                text = text[:45] + "..."
-            parts.append(text)
-        return ", ".join(parts)
-
-    @staticmethod
-    def _scopes(name: str, values: Tuple) -> List[str]:
-        return event_scopes(name, values)
+        """Process one replayed event, exactly as a live fire would."""
+        _GsanObserver(self, name).deliver(t, values)
 
     # -- vector clocks -----------------------------------------------------
 
@@ -423,19 +477,24 @@ class GSan:
         return self
 
     def _flag(self, rule: str, scope: str, t: float, message: str) -> None:
-        """Record one violation, marking the newest scoped event."""
-        timeline = list(self._timelines.get(scope, ()))
-        if timeline:
-            t_ev, name, args, agent, _ = timeline[-1]
-            timeline[-1] = (t_ev, name, args, agent, True)
+        """Record one violation: the scope's last ``max_timeline``
+        events, rendered, with the newest marked as the offender."""
+        keep = self.max_timeline
+        recorded = self._timelines.get(scope, [])[-keep:] if keep else []
+        last = len(recorded) - 1
+        timeline = [
+            (
+                t_ev,
+                name,
+                args if type(args) is str else _render_args(args),
+                agent,
+                i == last,
+            )
+            for i, (t_ev, name, args, agent) in enumerate(recorded)
+        ]
         self.violations.append(
             Violation(rule, scope, t, message, timeline, dict(self.clocks))
         )
-
-    # -- vector clocks -----------------------------------------------------
-
-    def _snapshot(self) -> Dict[str, int]:
-        return dict(self.clocks)
 
     def _join(self, agent: str, release: Dict[str, int]) -> None:
         """Acquire: the reader inherits the publisher's causal past."""
@@ -485,7 +544,7 @@ class GSan:
             track.release_ready = None
             track.release_finished = None
         elif new == "ready":
-            track.release_ready = self._snapshot()
+            track.release_ready = self.clock_snapshot()
         elif old == "ready" and new == "processing":
             if track.release_ready is None:
                 self._flag(
@@ -497,7 +556,7 @@ class GSan:
                 self._join(actor, track.release_ready)
                 track.release_ready = None
         if new == "finished":
-            track.release_finished = self._snapshot()
+            track.release_finished = self.clock_snapshot()
         elif old == "finished" and new == "free":
             if track.release_finished is None:
                 self._flag(
@@ -551,7 +610,7 @@ class GSan:
         track.name = name
         track.blocking = bool(blocking)
         track.submitted = True
-        track.release_submit = self._snapshot()
+        track.release_submit = self.clock_snapshot()
 
     def _on_dispatch(self, t: float, agent: str, values: Tuple) -> None:
         name, hw_id, invocation_id = values
@@ -603,7 +662,7 @@ class GSan:
                 f"must be exactly-once",
             )
         track.completion_kind = kind
-        track.release_complete = self._snapshot()
+        track.release_complete = self.clock_snapshot()
 
     def _on_complete(self, t: float, agent: str, values: Tuple) -> None:
         name, hw_id, service_ns, invocation_id, blocking = values

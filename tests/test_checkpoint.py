@@ -208,6 +208,39 @@ class TestObserversRideTheCheckpoint:
         assert resumed_sanitizer.violations == []
         assert resumed_sanitizer.events > 0
 
+    def test_gsan_checkpointed_after_a_batch_resumes_identically(self):
+        # After a served batch the taps are bound and every scope's
+        # timeline holds raw events; all of it rides the checkpoint.
+        system, workload = warm_memcached()
+        sanitizer = GSan().install(system.probes)
+        workload.run_genesys()
+        checkpoint_ns = system.sim.now
+        assert sanitizer.events > 0 and sanitizer.violations == []
+        blob = system.checkpoint(extra=(workload, sanitizer))
+
+        def serve_and_report(system, workload, sanitizer):
+            workload.run_genesys()
+            # An illegal edge on a slot both batches used makes the
+            # report render a timeline spanning the checkpoint.
+            sanitizer.feed(
+                "slot.transition", system.sim.now, 0, "ready", "processing", "cpu"
+            )
+            sanitizer.finish()
+            timelines = [v.timeline for v in sanitizer.violations]
+            report = sanitizer.report()
+            return sanitizer.events, dict(sanitizer.clocks), report, timelines
+
+        straight = serve_and_report(system, workload, sanitizer)
+        restored = snapshot.load(blob)
+        resumed = serve_and_report(restored.system, *restored.extra)
+        assert resumed == straight
+        timeline = straight[3][0]  # the illegal edge; a slot leak follows
+        assert timeline[-1][1:] == (
+            "slot.transition", "0, 'ready', 'processing', 'cpu'", "cpu", True
+        )
+        assert any(t < checkpoint_ns for t, *_ in timeline)
+        assert any(t > checkpoint_ns for t, *_ in timeline)
+
 
 class TestRestoreFixups:
     def test_proc_and_sysfs_files_rebound(self):

@@ -80,6 +80,26 @@ class TestTicksAndReads:
         # drained: no parked metrics tick is keeping the heap alive
         assert not sim._live_work_pending()
 
+    def test_tick_rearms_when_a_drained_run_resumes(self):
+        # The parked tick is dropped once the heap drains; the next
+        # fire on a later run must park a fresh one.
+        from repro.core.invocation import Granularity
+        from repro.machine import small_machine
+
+        system = System(config=small_machine())
+        hub = MetricsHub(window_ns=1_000.0).install(system.probes)
+
+        def kern(ctx):
+            yield from ctx.sys.getrusage(
+                granularity=Granularity.WORK_ITEM, blocking=True
+            )
+
+        system.run_kernel(kern, 4, 4, name="first")
+        first = hub.ticks
+        assert first > 0 and hub._tick_handle.fn is None
+        system.run_kernel(kern, 4, 4, name="second")
+        assert hub.ticks > first
+
     def test_plan_read_convenience(self):
         _result, plan = run_with_hub("fig2")
         assert plan.read("syscall.rate", window=1000) >= 0.0

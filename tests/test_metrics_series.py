@@ -4,6 +4,7 @@ and the probe-program edge-case APIs that ride along this PR."""
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.metrics.series import (
     EwmaRate,
@@ -16,6 +17,7 @@ from repro.metrics.series import (
 from repro.probes.programs import (
     LatencyHistogram,
     RateMeter,
+    log2_bucket,
     percentile_from_log2_buckets,
 )
 from repro.probes.tracepoints import ProbeRegistry
@@ -281,3 +283,142 @@ class TestProbeProgramEdgeCases:
         assert m.rate_between(0.0, 200.0) == pytest.approx(1.5e7)
         # half-bin overlap pro-rates the counts
         assert m.rate_between(0.0, 50.0) == pytest.approx(2e7)
+
+
+# -- differential oracle: skipping _note on same-window samples ---------
+#
+# Each sample method routes through ``_note`` (``_advance_to`` for
+# levels) only when the sample's window index changed.  The references
+# below are the sample methods as they were before, calling it on every
+# sample; random monotone sample streams with interleaved flushes must
+# leave both in identical states.
+
+
+class AlwaysNoteCounter(WindowedCounter):
+    def add(self, t_ns, n=1.0, key=None):
+        self._note(self.index_of(t_ns))
+        self._count += n
+        self.total += n
+        if key is not None:
+            self.by_key[key] = self.by_key.get(key, 0.0) + n
+
+
+class AlwaysNoteRatio(WindowedRatio):
+    def add(self, t_ns, num, den):
+        self._note(self.index_of(t_ns))
+        self._num += num
+        self._den += den
+        self.total_num += num
+        self.total_den += den
+
+
+class AlwaysNoteGauge(WindowedGauge):
+    def set(self, t_ns, value):
+        self._note(self.index_of(t_ns))
+        value = float(value)
+        if self._n == 0:
+            self._min = value
+            self._max = value
+        else:
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
+        self._sum += value
+        self._n += 1
+        self.last = value
+
+
+class AlwaysNoteHistogram(WindowedLog2Histogram):
+    def observe(self, t_ns, value):
+        self._note(self.index_of(t_ns))
+        value = float(value)
+        bucket = log2_bucket(value)
+        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+        self._sum += value
+        self._count += 1
+        if value > self._max:
+            self._max = value
+        self.lifetime_buckets[bucket] = self.lifetime_buckets.get(bucket, 0) + 1
+        self.lifetime_count += 1
+
+
+class AlwaysAdvanceLevel(LevelSeries):
+    def set(self, t_ns, level):
+        self._advance_to(t_ns)
+        self._level = float(level)
+
+
+def _sample(kind, estimator, t_ns, value, key):
+    if kind == "counter":
+        estimator.add(t_ns, value, key=key)
+    elif kind == "ratio":
+        estimator.add(t_ns, value / 2, value)
+    elif kind == "histogram":
+        estimator.observe(t_ns, value)
+    else:
+        estimator.set(t_ns, value)
+
+
+ORACLE_KINDS = {
+    "counter": (WindowedCounter, AlwaysNoteCounter, ("rate", "count", "fraction")),
+    "ratio": (WindowedRatio, AlwaysNoteRatio, (None,)),
+    "gauge": (WindowedGauge, AlwaysNoteGauge, ("mean", "min", "max", "last")),
+    "histogram": (
+        WindowedLog2Histogram,
+        AlwaysNoteHistogram,
+        ("p95", "p50", "count", "max", "mean"),
+    ),
+    "level": (LevelSeries, AlwaysAdvanceLevel, (None,)),
+}
+
+ORACLE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("sample"),
+            st.sampled_from([0.0, 0.0, 0.1, 0.3, 1.0, 2.5, 7.0, 10.0, 23.7, 95.0]),
+            st.floats(0.0, 1000.0, allow_nan=False),
+            st.sampled_from([None, "a", "b"]),
+        ),
+        st.tuples(st.just("flush"), st.integers(-1, 3), st.none(), st.none()),
+    ),
+    max_size=80,
+)
+
+
+def _state(estimator):
+    state = dict(vars(estimator))
+    ewma = state.pop("ewma", None)
+    if ewma is not None:
+        state["ewma"] = (ewma.value, ewma.primed)
+    return state
+
+
+class TestSameWindowSamplesSkipNote:
+    @pytest.mark.parametrize("kind", sorted(ORACLE_KINDS))
+    @given(
+        ops=ORACLE_OPS,
+        window_ns=st.sampled_from([10.0, 0.1, 7.5]),
+        max_windows=st.sampled_from([1, 3, 4096]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_always_note_reference(self, kind, ops, window_ns, max_windows):
+        fast_cls, reference_cls, modes = ORACLE_KINDS[kind]
+        fast = fast_cls(window_ns, max_windows=max_windows)
+        reference = reference_cls(window_ns, max_windows=max_windows)
+        t_ns = 0.0
+        for op, arg, value, key in ops:
+            for estimator in (fast, reference):
+                if op == "sample":
+                    _sample(kind, estimator, t_ns + arg, value, key)
+                else:
+                    estimator.flush(int(t_ns // window_ns) + arg)
+            if op == "sample":
+                t_ns += arg
+        assert fast.windows == reference.windows
+        assert fast.export_series() == reference.export_series()
+        for last in (1, 3, 10_000):
+            for mode in modes:
+                args = (last,) if mode is None else (last, mode)
+                assert fast.read(*args) == reference.read(*args)
+        assert _state(fast) == _state(reference)

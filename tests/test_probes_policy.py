@@ -12,7 +12,7 @@ from repro.oskernel.errors import Errno, OsError
 from repro.oskernel.fs import O_RDWR
 from repro.oskernel.workqueue import WorkQueue
 from repro.probes.policy import PolicyHook, choose, fixed
-from repro.probes.tracepoints import attached
+from repro.probes.tracepoints import StreamRecorder, attached
 from repro.sim.engine import Simulator
 from repro.system import System
 
@@ -189,6 +189,46 @@ class TestWorkerSelectionHook:
             wq.submit(lambda: task())
         sim.run()
         assert sorted(workers) == [0, 0, 1, 1]
+
+    def test_backlog_counts_shared_and_every_private_queue(self):
+        # The backlog sums only queues a policy ever pinned to; that
+        # must equal the shared queue plus all private queues at every
+        # wq.enqueue / wq.depth fire, also once the policy is detached
+        # while pinned tasks still wait.
+        sim = Simulator()
+        wq = WorkQueue(sim, MachineConfig(workqueue_workers=4))
+        recorder = StreamRecorder(wq.probes).attach("wq.enqueue", "wq.depth")
+        queues = []  # (shared, private, detached) at each fire
+        phase = {"detached": False}
+
+        def count_queues(*_args):
+            private = sum(len(queue) for queue in wq._private)
+            queues.append((len(wq._tasks), private, phase["detached"]))
+
+        wq.tp_enqueue.attach(count_queues)
+        wq.tp_depth.attach(count_queues)
+        pin = choose(lambda current, index, n: None if index % 4 == 3 else index % 3)
+        wq.hook_worker.attach(pin)
+
+        def task():
+            yield 500
+
+        def driver():
+            for _ in range(12):
+                wq.submit(task)
+            yield 100
+            wq.hook_worker.detach(pin)
+            phase["detached"] = True
+            for _ in range(6):
+                wq.submit(task)
+
+        sim.process(driver())
+        sim.run()
+        assert wq.completed == 18
+        backlogs = [args[0] for _t, _name, args in recorder.events]
+        assert backlogs == [shared + private for shared, private, _ in queues]
+        assert any(private and detached for _, private, detached in queues)
+        assert wq.backlog == 0
 
     def test_shared_path_unchanged_when_inactive(self):
         sim = Simulator()
