@@ -69,8 +69,8 @@ def main():
           f"simulated time byte-identical: {resumed_ns:.0f} ns")
 
     # Act 3: the chaos matrix, serial vs farmed — same merge.
-    serial = {(r.experiment, r.seed): r.as_dict()
-              for r in chaos.run_matrix(EXPERIMENTS, SEEDS)}
+    serial = {(experiment, seed): chaos.run_one(experiment, seed).as_dict()
+              for experiment in EXPERIMENTS for seed in SEEDS}
     farmed = run_chaos_matrix(EXPERIMENTS, SEEDS, workers=2)
     assert {key: report for key, report in farmed} == serial
     summary = merge_reports(farmed)

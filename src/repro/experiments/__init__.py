@@ -10,8 +10,9 @@ prints the paper-style tables.
 from __future__ import annotations
 
 import importlib
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass
@@ -75,15 +76,29 @@ REGISTRY: Dict[str, str] = {
 }
 
 
+def _unknown(name: str) -> str:
+    return f"unknown experiment {name!r}; available: {', '.join(sorted(REGISTRY))}"
+
+
 def load(name: str):
     """Import the experiment module registered under ``name``."""
     try:
         module_name = REGISTRY[name]
     except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; available: {', '.join(sorted(REGISTRY))}"
-        ) from None
+        raise KeyError(_unknown(name)) from None
     return importlib.import_module(f"repro.experiments.{module_name}")
+
+
+def check_names(names: Iterable[str]) -> int:
+    """Exit status for a command line about to run ``names``: 0 when
+    every name is registered; otherwise print ``unknown experiment 'X';
+    available: ...`` to stderr for the first unknown name and return 2.
+    Entry points call this before anything runs."""
+    for name in names:
+        if name not in REGISTRY:
+            print(_unknown(name), file=sys.stderr)
+            return 2
+    return 0
 
 
 def run(name: str) -> ExperimentResult:

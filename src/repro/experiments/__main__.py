@@ -10,10 +10,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
-from repro.experiments import all_names, load, run
+from repro.experiments import all_names, check_names, load, run
 
 
 def main(argv=None) -> int:
@@ -34,13 +33,12 @@ def main(argv=None) -> int:
         return 0
 
     names = all_names() if args.all else args.names
+    status = check_names(names)
+    if status:
+        return status
     for name in names:
         start = time.time()
-        try:
-            result = run(name)
-        except KeyError as err:
-            print(err, file=sys.stderr)
-            return 2
+        result = run(name)
         print(result.render())
         print(f"[{name}: {time.time() - start:.1f}s wall]\n")
     return 0

@@ -11,8 +11,10 @@ The subsystem has two halves:
   faulted run must satisfy.
 
 ``python -m repro.faults chaos`` runs the invariant matrix from the
-command line; with no plan installed the stack's behaviour (and every
-experiment's output) is byte-identical to a build without this package.
+command line, farmed over worker processes by
+:func:`repro.runfarm.run_chaos_matrix`.  With no plan installed the
+stack's behaviour (and every experiment's output) is byte-identical to
+a build without this package.
 """
 
 from repro.faults.chaos import (
@@ -23,7 +25,6 @@ from repro.faults.chaos import (
     check_invariants,
     record_fault_stream,
     recovery_stats,
-    run_matrix,
     run_one,
     run_scenario,
 )
@@ -48,7 +49,6 @@ __all__ = [
     "install_plan",
     "record_fault_stream",
     "recovery_stats",
-    "run_matrix",
     "run_one",
     "run_scenario",
 ]

@@ -517,15 +517,3 @@ def run_one(
         detail=detail,
     )
 
-
-def run_matrix(
-    experiments: List[str],
-    seeds: List[int],
-    intensity: float = 1.0,
-    drain_timeout_ns: float = DEFAULT_DRAIN_TIMEOUT_NS,
-) -> List[ChaosReport]:
-    return [
-        run_one(experiment, seed, intensity, drain_timeout_ns)
-        for experiment in experiments
-        for seed in seeds
-    ]

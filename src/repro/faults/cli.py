@@ -4,8 +4,10 @@ Subcommands:
 
 ``chaos``
     Run the chaos matrix: each named experiment under each seed's
-    fault plan, asserting the liveness/safety invariants.  Exits 1 if
-    any run violates an invariant — this is the CI smoke entry point.
+    fault plan, asserting the liveness/safety invariants.  Cells are
+    farmed over ``--workers`` processes (:mod:`repro.runfarm`); the
+    results do not depend on the worker count.  Exits 1 if any run
+    violates an invariant — this is the CI smoke entry point.
 
 ``list``
     Show the built-in chaos profiles and which fault classes each
@@ -14,7 +16,7 @@ Subcommands:
 Examples::
 
     python -m repro.faults chaos --experiments fig2,grep --seeds 1,2,3
-    python -m repro.faults chaos --json
+    python -m repro.faults chaos --seeds 1:6 --workers 4 --gsan --json cells.json
     python -m repro.faults list
 """
 
@@ -23,20 +25,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import List, Optional
 
-from repro.faults.chaos import (
-    DEFAULT_DRAIN_TIMEOUT_NS,
-    EXPERIMENTS,
-    PROFILES,
-    run_matrix,
-)
+from repro.faults.chaos import DEFAULT_DRAIN_TIMEOUT_NS, EXPERIMENTS, PROFILES
+from repro.runfarm import default_workers, merge_reports, run_chaos_matrix
 
 DEFAULT_SEEDS = (1, 2, 3)
 
 
 def _parse_csv(raw: str) -> List[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
+
+
+def _parse_seeds(text: str) -> List[int]:
+    """``1,2,5`` or ``1:6`` (half-open range) or a mix of both."""
+    seeds: List[int] = []
+    for part in _parse_csv(text):
+        if ":" in part:
+            lo, hi = part.split(":", 1)
+            seeds.extend(range(int(lo), int(hi)))
+        else:
+            seeds.append(int(part))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    return seeds
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -67,43 +80,54 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    seeds = [int(s) for s in _parse_csv(args.seeds)]
-    reports = run_matrix(
+    start = time.perf_counter()
+    results = run_chaos_matrix(
         experiments,
-        seeds,
+        args.seeds,
+        workers=args.workers,
         intensity=args.intensity,
+        gsan=args.gsan,
         drain_timeout_ns=args.drain_timeout_ns,
     )
-    if args.json:
-        print(json.dumps([r.as_dict() for r in reports], indent=2))
-    else:
-        header = (
-            f"{'experiment':<12} {'seed':>4} {'ok':<4} {'sim ns':>12} "
-            f"{'faults':>6} {'retries':>7} {'reclaims':>8} {'requeues':>8} "
-            f"{'degraded':>8}"
-        )
-        print(header)
-        print("-" * len(header))
-        for r in reports:
-            print(
-                f"{r.experiment:<12} {r.seed:>4} {'ok' if r.ok else 'FAIL':<4} "
-                f"{r.elapsed_ns:>12.0f} {r.injected:>6} "
-                f"{r.recovery['syscall_retries']:>7} "
-                f"{r.recovery['slots_reclaimed']:>8} "
-                f"{r.recovery['tasks_requeued']:>8} "
-                f"{r.recovery['degraded_rescans']:>8}"
-            )
-            for violation in r.violations:
-                print(f"    violation: {violation}")
-    failures = [r for r in reports if not r.ok]
-    if failures:
+    summary = merge_reports(results)
+    summary["wall_s"] = round(time.perf_counter() - start, 3)
+    summary["workers"] = args.workers
+    header = (
+        f"{'experiment':<12} {'seed':>4} {'ok':<4} {'sim ns':>12} "
+        f"{'faults':>6} {'retries':>7} {'reclaims':>8} {'requeues':>8} "
+        f"{'degraded':>8}"
+    )
+    print(header)
+    print("-" * len(header))
+    for (experiment, seed), r in results:
+        recovery = r["recovery"]
         print(
-            f"\n{len(failures)}/{len(reports)} chaos run(s) violated invariants",
+            f"{experiment:<12} {seed:>4} {'ok' if r['ok'] else 'FAIL':<4} "
+            f"{r['elapsed_ns']:>12.0f} {r['injected']:>6} "
+            f"{recovery['syscall_retries']:>7} "
+            f"{recovery['slots_reclaimed']:>8} "
+            f"{recovery['tasks_requeued']:>8} "
+            f"{recovery['degraded_rescans']:>8}"
+        )
+        for violation in r["violations"]:
+            print(f"    violation: {violation}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(
+                {"summary": summary, "cells": [r for _, r in results]}, fh, indent=2
+            )
+        print(f"wrote {args.json}")
+    if summary["failed"]:
+        print(
+            f"\n{summary['failed']}/{summary['cells']} chaos run(s) "
+            "violated invariants",
             file=sys.stderr,
         )
         return 1
-    if not args.json:
-        print(f"\nall {len(reports)} chaos run(s) held every invariant")
+    print(
+        f"\nall {summary['cells']} chaos run(s) held every invariant "
+        f"({args.workers} worker(s), {summary['wall_s']:.2f}s)"
+    )
     return 0
 
 
@@ -123,8 +147,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     chaos.add_argument(
         "--seeds",
-        default=",".join(str(s) for s in DEFAULT_SEEDS),
-        help="comma-separated fault-plan seeds",
+        type=_parse_seeds,
+        default=list(DEFAULT_SEEDS),
+        help="fault-plan seeds: comma-separated, and/or LO:HI half-open ranges",
+    )
+    chaos.add_argument(
+        "--workers",
+        type=int,
+        default=default_workers(),
+        help="farm cells over N processes (results do not depend on N; "
+        "default: CPU count)",
     )
     chaos.add_argument(
         "--intensity",
@@ -138,7 +170,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=DEFAULT_DRAIN_TIMEOUT_NS,
         help="simulated-time liveness bound per run",
     )
-    chaos.add_argument("--json", action="store_true", help="machine-readable output")
+    chaos.add_argument(
+        "--gsan",
+        action="store_true",
+        help="run every cell under the GSan race sanitizer; any "
+        "violation fails the cell",
+    )
+    chaos.add_argument(
+        "--json",
+        metavar="PATH",
+        help="write the {summary, cells} document to this file",
+    )
     chaos.set_defaults(fn=_cmd_chaos)
 
     lister = sub.add_parser("list", help="show built-in chaos profiles")

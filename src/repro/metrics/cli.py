@@ -121,11 +121,6 @@ class _GtopRenderer:
 
 
 def _run_experiment(name: str, plan: MetricsHubPlan):
-    if name not in experiments.all_names():
-        raise SystemExit(
-            f"unknown experiment {name!r}; choose from "
-            f"{', '.join(experiments.all_names())}"
-        )
     with attached(plan):
         return experiments.run(name)
 
@@ -339,6 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    target = args.target if args.cmd == "gtop" else args.name
+    if args.cmd == "report" or target != "serving":
+        status = experiments.check_names([target])
+        if status:
+            return status
     return args.fn(args)
 
 

@@ -131,9 +131,6 @@ class WindowedSeries:
 
     # -- reads --------------------------------------------------------------
 
-    def last_closed(self) -> Optional[Tuple[float, object]]:
-        return self.windows[-1] if self.windows else None
-
     def closed(self, last: Optional[int] = None) -> List[Tuple[float, object]]:
         if last is None or last >= len(self.windows):
             return list(self.windows)

@@ -14,8 +14,8 @@ Guarantees (tested):
 
 * observer probes never perturb simulated results — experiment outputs
   are byte-identical attached vs. detached;
-* a detached tracepoint costs one attribute check — under ~2% on the
-  ``benchmarks/perf`` end-to-end drivers.
+* a detached tracepoint costs one attribute check and never builds its
+  argument tuple.
 
 See the "Probes & policy hooks" section of ``docs/architecture.md``.
 """

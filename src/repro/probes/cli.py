@@ -159,6 +159,9 @@ def main(argv=None) -> int:
 
     from repro import experiments
 
+    status = experiments.check_names([args.experiment])
+    if status:
+        return status
     registries: List[ProbeRegistry] = []
 
     def plan(registry: ProbeRegistry) -> None:
@@ -173,11 +176,7 @@ def main(argv=None) -> int:
             raise SystemExit(f"error: {err}") from None
 
     with attached(plan):
-        try:
-            result = experiments.run(args.experiment)
-        except KeyError as err:
-            print(err, file=sys.stderr)
-            return 2
+        result = experiments.run(args.experiment)
 
     if not args.quiet:
         print(result.render())

@@ -22,6 +22,8 @@ hook, driven by sensors from :mod:`repro.metrics`.  Four layers:
 
 With no :class:`QosPlan` installed every decision point is dormant and
 all experiment outputs are byte-identical to the policy-free stack.
+``python -m repro.serving overload`` runs the serving plan against the
+bare stack through and past the knee.
 """
 
 from repro.qos.admission import TokenBucketAdmission

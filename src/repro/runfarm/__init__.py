@@ -24,8 +24,8 @@ shared copy-on-write; each job still builds its own fresh ``System`` —
 simulated machines are never shipped between processes, only job specs
 in and picklable results out.
 
-CLI: ``python -m repro.runfarm --help`` (chaos matrix, pytest sharding,
-matrix timing).
+CLI: ``python -m repro.runfarm pytest`` shards the test suite; the
+farmed chaos matrix is ``python -m repro.faults chaos --workers N``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import gc
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Job",
@@ -193,26 +193,40 @@ def run_frontier(
 
 
 def _chaos_cell(
-    experiment: str, seed: int, intensity: float, gsan: bool = False
+    experiment: str,
+    seed: int,
+    intensity: float,
+    gsan: bool = False,
+    drain_timeout_ns: Optional[float] = None,
 ) -> dict:
     """One chaos matrix cell, returned as a plain dict (JSON/pickle
     friendly across the process boundary).
 
     With ``gsan=True`` the cell runs under a fresh GSan per built
     System; the report grows a ``gsan`` section and any race the
-    sanitizer finds fails the cell.
+    sanitizer finds fails the cell.  ``drain_timeout_ns`` defaults to
+    the chaos runner's liveness bound.
     """
     from repro.faults import chaos
 
+    if drain_timeout_ns is None:
+        drain_timeout_ns = chaos.DEFAULT_DRAIN_TIMEOUT_NS
+
+    def run() -> dict:
+        return chaos.run_one(
+            experiment, seed, intensity=intensity,
+            drain_timeout_ns=drain_timeout_ns,
+        ).as_dict()
+
     if not gsan:
-        return chaos.run_one(experiment, seed, intensity=intensity).as_dict()
+        return run()
 
     from repro.probes.tracepoints import attached
     from repro.sanitizers.gsan import GSanPlan
 
     plan = GSanPlan()
     with attached(plan):
-        report = chaos.run_one(experiment, seed, intensity=intensity).as_dict()
+        report = run()
     findings = [str(violation) for violation in plan.finish()]
     report["gsan"] = {"events": plan.events, "violations": findings}
     if findings:
@@ -228,6 +242,7 @@ def chaos_matrix_jobs(
     seeds: Sequence[int],
     intensity: float = 1.0,
     gsan: bool = False,
+    drain_timeout_ns: Optional[float] = None,
 ) -> List[Job]:
     """The chaos matrix as farm jobs.
 
@@ -243,6 +258,7 @@ def chaos_matrix_jobs(
                 "seed": seed,
                 "intensity": intensity,
                 "gsan": gsan,
+                "drain_timeout_ns": drain_timeout_ns,
             },
         )
         for experiment in experiments
@@ -256,11 +272,16 @@ def run_chaos_matrix(
     workers: int = 1,
     intensity: float = 1.0,
     gsan: bool = False,
+    drain_timeout_ns: Optional[float] = None,
 ) -> List[Tuple[tuple, dict]]:
-    """Farmed equivalent of ``repro.faults.chaos.run_matrix`` (reports
-    as dicts, sorted by (experiment, seed))."""
+    """The chaos matrix: ``repro.faults.chaos.run_one`` for every
+    (experiment, seed) cell, as report dicts sorted by that key.  The
+    result does not depend on ``workers``; ``workers=1`` runs inline."""
     return run_jobs(
-        chaos_matrix_jobs(experiments, seeds, intensity=intensity, gsan=gsan),
+        chaos_matrix_jobs(
+            experiments, seeds, intensity=intensity, gsan=gsan,
+            drain_timeout_ns=drain_timeout_ns,
+        ),
         workers=workers,
     )
 

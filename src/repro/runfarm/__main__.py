@@ -1,100 +1,21 @@
-"""``python -m repro.runfarm`` — the run-farm command line.
+"""``python -m repro.runfarm pytest`` — shard the test suite.
 
-Subcommands
------------
-``chaos``
-    Farm the chaos matrix (``repro.faults``) across worker processes
-    and print a merged, order-independent summary.  Exits nonzero if
-    any cell fails its invariants — the sharded equivalent of the
-    serial chaos smoke.
-
-``pytest``
-    Shard the test suite's files round-robin across workers, each an
-    independent ``python -m pytest`` subprocess; exits nonzero if any
-    shard fails.  Used by CI to run tier-1 on 4 workers.
-
-``matrix-bench``
-    Time the same chaos matrix serial vs farmed (the perf harness's
-    matrix rows use the same machinery in-process).
+The suite's files are split round-robin across workers, each an
+independent ``python -m pytest`` subprocess; exits nonzero if any shard
+fails.  Used by CI to run tier-1 on 4 workers.  The farmed chaos matrix
+is ``python -m repro.faults chaos --workers N``.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import subprocess
 import sys
 import time
-from typing import List
 
-from repro.runfarm import (
-    default_workers,
-    merge_reports,
-    run_chaos_matrix,
-    shard,
-)
-
-
-def _parse_seeds(text: str) -> List[int]:
-    """``1,2,5`` or ``1:6`` (half-open range) or a mix of both."""
-    seeds: List[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            lo, hi = part.split(":", 1)
-            seeds.extend(range(int(lo), int(hi)))
-        else:
-            seeds.append(int(part))
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
-    return seeds
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import chaos
-
-    experiments = (
-        list(chaos.EXPERIMENTS)
-        if args.experiments == "all"
-        else [e.strip() for e in args.experiments.split(",") if e.strip()]
-    )
-    start = time.perf_counter()
-    results = run_chaos_matrix(
-        experiments,
-        args.seeds,
-        workers=args.workers,
-        intensity=args.intensity,
-        gsan=args.gsan,
-    )
-    wall = time.perf_counter() - start
-    summary = merge_reports(results)
-    summary["wall_s"] = round(wall, 3)
-    summary["workers"] = args.workers
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(
-                {"summary": summary, "cells": [r for _, r in results]}, fh, indent=2
-            )
-    for (experiment, seed), report in results:
-        status = "ok" if report["ok"] else "FAIL"
-        line = (
-            f"  {experiment:<10} seed={seed:<4} {status:<5} "
-            f"injected={report['injected']}"
-        )
-        if "gsan" in report:
-            line += f" gsan_events={report['gsan']['events']}"
-        print(line)
-        for violation in report["violations"]:
-            print(f"      {violation}")
-    print(
-        f"chaos matrix: {summary['cells']} cells, {summary['ok']} ok, "
-        f"{summary['failed']} failed on {args.workers} worker(s) in {wall:.2f}s"
-    )
-    return 0 if summary["failed"] == 0 else 1
+from repro.runfarm import default_workers, shard
 
 
 def _cmd_pytest(args: argparse.Namespace) -> int:
@@ -139,41 +60,11 @@ def _cmd_pytest(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _cmd_matrix_bench(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    serial = run_chaos_matrix(args.experiments, args.seeds, workers=1)
-    serial_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    farmed = run_chaos_matrix(args.experiments, args.seeds, workers=args.workers)
-    farmed_wall = time.perf_counter() - start
-    identical = serial == farmed
-    speedup = serial_wall / farmed_wall if farmed_wall > 0 else float("inf")
-    print(
-        f"matrix ({len(serial)} cells): serial {serial_wall:.2f}s, "
-        f"{args.workers}-worker {farmed_wall:.2f}s — {speedup:.2f}x, "
-        f"merge identical: {identical}"
-    )
-    return 0 if identical else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runfarm", description=__doc__.split("\n", 1)[0]
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    chaos_p = sub.add_parser("chaos", help="farm the chaos matrix")
-    chaos_p.add_argument("--experiments", default="all")
-    chaos_p.add_argument("--seeds", type=_parse_seeds, default=list(range(1, 7)))
-    chaos_p.add_argument("--workers", type=int, default=default_workers())
-    chaos_p.add_argument("--intensity", type=float, default=1.0)
-    chaos_p.add_argument(
-        "--gsan", action="store_true",
-        help="run every cell under the GSan race sanitizer; any "
-        "violation fails the cell",
-    )
-    chaos_p.add_argument("--json", help="write merged cells + summary to this file")
-    chaos_p.set_defaults(fn=_cmd_chaos)
 
     pytest_p = sub.add_parser("pytest", help="shard the test suite")
     pytest_p.add_argument("--tests", default="tests")
@@ -184,15 +75,6 @@ def main(argv=None) -> int:
     )
     pytest_p.add_argument("pytest_args", nargs="*", default=[])
     pytest_p.set_defaults(fn=_cmd_pytest)
-
-    bench_p = sub.add_parser("matrix-bench", help="serial vs farmed matrix wall time")
-    bench_p.add_argument(
-        "--experiments", type=lambda t: [e for e in t.split(",") if e],
-        default=["fig2", "grep"],
-    )
-    bench_p.add_argument("--seeds", type=_parse_seeds, default=list(range(1, 7)))
-    bench_p.add_argument("--workers", type=int, default=4)
-    bench_p.set_defaults(fn=_cmd_matrix_bench)
 
     args = parser.parse_args(argv)
     return args.fn(args)

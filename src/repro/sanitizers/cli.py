@@ -50,6 +50,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro import experiments
 
     names = _parse_csv(args.experiments) if args.experiments else experiments.all_names()
+    status = experiments.check_names(names)
+    if status:
+        return status
     rows = []
     failed = False
     for name in names:

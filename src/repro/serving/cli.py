@@ -1,10 +1,14 @@
-"""``python -m repro.serving`` — run | sweep | report.
+"""``python -m repro.serving`` — run | sweep | overload | report.
 
 ``run`` executes one fixed-RPS point and prints its stats; ``sweep``
 walks an RPS grid (optionally farmed), bisects for the max sustainable
-throughput under the SLO, and writes ``BENCH_serving.json``; ``report``
-pretty-prints a trajectory file and (with ``--check``) gates on the
-structural schema validation CI uses.
+throughput under the SLO, and writes ``BENCH_serving.json``;
+``overload`` runs each offered-load multiple of the knee bare and with
+the QoS plan installed and writes ``BENCH_overload.json`` (the plan
+document plus each QoS point's controller summary; ``--multipliers
+2.0`` is the single 2x-knee point); ``report`` pretty-prints a
+trajectory file and (with ``--check``) gates on the structural schema
+validation CI uses.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ import json
 import sys
 from typing import List, Tuple
 
+from repro.experiments import check_names
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.tracing import analysis, gate as gate_mod
 from repro.tracing.spans import SpanTracer, InvocationTrace
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "report":
-        return _cmd_report(args)
+        return check_names([args.experiment]) or _cmd_report(args)
     if args.command == "record":
-        return _cmd_record(args)
+        return check_names(args.experiments) or _cmd_record(args)
     return _cmd_gate(args)

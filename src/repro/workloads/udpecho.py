@@ -24,14 +24,13 @@ from repro.workloads.memcachedwl import SERVE_STOP
 #: Per-request touch-up cost on the GPU (cycles) — checksum-ish work so
 #: the kernel is not literally zero compute between syscalls.
 ECHO_CYCLES = 16.0
-ECHO_CPU_NS = 120.0
 ECHO_PORT = 7007
 
 
 class UdpEchoWorkload:
-    """Echo server in two variants: GENESYS work-group loops or CPU
-    threads.  Both serve an external (open-loop) client stream until
-    every server loop has consumed a STOP datagram."""
+    """Echo server as GENESYS work-group loops.  It serves an external
+    (open-loop) client stream until every server loop has consumed a
+    STOP datagram."""
 
     def __init__(self, system: System, payload_bytes: int = 64):
         self.system = system
@@ -103,46 +102,4 @@ class UdpEchoWorkload:
             yield from kernel.call(server, "close", fd)
 
         system.run_to_completion(main(), name="udpecho-serve")
-        return {"served": sum(served), "served_per_group": list(served)}
-
-    def serve_cpu(self, driver: Generator, server_threads: int = 4) -> Dict[str, object]:
-        """CPU baseline: ``server_threads`` recvfrom/sendto loops."""
-        system = self.system
-        kernel = system.kernel
-        server = kernel.create_process("echo-serve-cpu")
-        served = [0] * server_threads
-        bufsize = max(64, self.payload_bytes)
-
-        def server_thread(fd: int, tid: int) -> Generator:
-            buf = system.memsystem.alloc_buffer(bufsize)
-            while True:
-                n, src = yield from kernel.call(server, "recvfrom", fd, buf, buf.size)
-                if bytes(buf.data[:n]) == SERVE_STOP:
-                    return
-                yield from system.cpu.run(ECHO_CPU_NS)
-                served[tid] += 1
-                yield from kernel.call(server, "sendto", fd, buf, n, src)
-
-        def main() -> Generator:
-            fd = yield from kernel.call(server, "socket")
-            yield from kernel.call(server, "bind", fd, ECHO_PORT)
-            threads = [
-                system.sim.process(server_thread(fd, tid), name=f"echo-s{tid}")
-                for tid in range(server_threads)
-            ]
-            yield system.sim.process(driver, name="serving-driver")
-            ctl = yield from kernel.call(server, "socket")
-            stop = system.memsystem.alloc_buffer(len(SERVE_STOP))
-            stop.data[:] = SERVE_STOP
-            for _ in range(server_threads):
-                yield from kernel.call(
-                    server, "sendto", ctl, stop, len(SERVE_STOP),
-                    ("localhost", ECHO_PORT),
-                )
-            for thread in threads:
-                yield thread
-            yield from kernel.call(server, "close", ctl)
-            yield from kernel.call(server, "close", fd)
-
-        system.run_to_completion(main(), name="udpecho-serve-cpu")
         return {"served": sum(served), "served_per_group": list(served)}

@@ -80,11 +80,6 @@ class WordcountWorkload:
             fs.resolve(path).cached_pages.clear()
             self.paths.append(path)
 
-    def drop_caches(self) -> None:
-        """Empty every file's page cache (between variant runs)."""
-        for path in self.paths:
-            self.system.kernel.fs.resolve(path).cached_pages.clear()
-
     def _count_words(self, chunk: bytes, counts: Dict[bytes, int]) -> None:
         for word in self.words:
             hits = chunk.count(word)

@@ -10,12 +10,18 @@ Four layers of assertion:
 * bounded failure — when recovery is *disabled*, a wedged slot surfaces
   as a diagnostic ``DrainTimeout`` naming the stuck work, never a hang,
 * recovery unit paths — watchdog slot reclaim, worker respawn/requeue,
-  and the workqueue quiesce deadline, each in isolation.
+  and the workqueue quiesce deadline, each in isolation,
+
+plus ``python -m repro.faults chaos`` driven in-process.
 """
+
+import json
 
 import pytest
 
 from repro.core.syscall_area import SlotState
+from repro.faults import chaos
+from repro.faults import cli as faults_cli
 from repro.faults import (
     EXPERIMENTS,
     PROFILES,
@@ -68,6 +74,51 @@ class TestChaosMatrix:
         report = run_one("udp-echo", 7)
         assert report.ok, report.violations
         assert report.detail["retransmits"] > 0 or report.detail["dup_replies"] > 0
+
+
+class TestChaosCommand:
+    @staticmethod
+    def _cells(tmp_path, workers):
+        path = tmp_path / f"cells_w{workers}.json"
+        assert faults_cli.main([
+            "chaos", "--experiments", "fig2", "--seeds", "1:3",
+            "--workers", str(workers), "--json", str(path),
+        ]) == 0
+        return json.loads(path.read_text())["cells"]
+
+    def test_cells_do_not_depend_on_workers(self, tmp_path):
+        farmed = self._cells(tmp_path, 2)
+        assert [(c["experiment"], c["seed"]) for c in farmed] == [
+            ("fig2", 1), ("fig2", 2),
+        ]
+        assert farmed == self._cells(tmp_path, 1)
+
+    def test_unknown_experiment_exits_2(self, capsys):
+        assert faults_cli.main(["chaos", "--experiments", "fig2,nope"]) == 2
+        assert "unknown experiment(s) ['nope']" in capsys.readouterr().err
+
+    def test_violated_invariant_exits_1(self, monkeypatch, capsys):
+        # A real run cannot be made to fail from the command line (fig2
+        # seed 1 holds even at --drain-timeout-ns 1), so plant one.
+        drain_timeouts = []
+        real_run_one = chaos.run_one
+
+        def failing_run_one(experiment, seed, **kwargs):
+            drain_timeouts.append(kwargs["drain_timeout_ns"])
+            report = real_run_one(experiment, seed, **kwargs)
+            report.ok = False
+            report.violations.append("planted")
+            return report
+
+        monkeypatch.setattr(chaos, "run_one", failing_run_one)
+        assert faults_cli.main([
+            "chaos", "--experiments", "fig2", "--seeds", "1",
+            "--workers", "1", "--drain-timeout-ns", "5e9",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "violation: planted" in captured.out
+        assert "1/1 chaos run(s) violated invariants" in captured.err
+        assert drain_timeouts == [5e9]
 
 
 # -- determinism --------------------------------------------------------------

@@ -9,6 +9,7 @@ nail down the failure modes: version mismatches, non-quiescent
 machines, and unpicklable attachments are rejected loudly.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -75,6 +76,26 @@ class TestMemcachedRoundTrip:
         assert header["sim_now_ns"] == checkpoint_ns
         assert header["has_extra"] is True
         assert header["payload_bytes"] > 0
+
+    def test_default_warm_table_is_pinned(self):
+        """The default memcached table, filled and checkpointed at t=0,
+        restores to exactly this content."""
+        system = System()
+        workload = MemcachedWorkload(system)
+        system.sim.run()
+        blob = system.checkpoint(extra=workload)
+
+        header = snapshot.manifest(blob)
+        assert header["version"] == 1
+        assert header["sim_now_ns"] == 0
+        digest = hashlib.sha256()
+        for bucket in snapshot.load(blob).extra.table.buckets:
+            for key, value in bucket:
+                digest.update(key)
+                digest.update(value)
+        assert digest.hexdigest() == (
+            "b8d1bb683c2ee84271347670a21941170cef5cfccf1a0082c3537cb9ebff7ab5"
+        )
 
     def test_checkpoint_to_path_round_trips(self, tmp_path):
         system, workload = warm_memcached()

@@ -1,6 +1,8 @@
 """Tests for the experiments package: registry, rendering, CLI, and a
 couple of fast end-to-end experiment runs."""
 
+import importlib
+
 import pytest
 
 from repro.experiments import (
@@ -89,3 +91,28 @@ class TestCli:
 
     def test_unknown_experiment_errors(self, capsys):
         assert cli_main(["not-an-experiment"]) == 2
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        ("repro.experiments.__main__", ["table4", "nope"]),
+        ("repro.probes.cli", ["run", "nope"]),
+        ("repro.tracing.cli", ["report", "nope"]),
+        ("repro.tracing.cli", ["record", "nope"]),
+        ("repro.metrics.cli", ["run", "nope"]),
+        ("repro.metrics.cli", ["report", "nope"]),
+        ("repro.metrics.cli", ["gtop", "nope"]),
+        ("repro.sanitizers.cli", ["check", "--experiments", "table4,nope"]),
+    ],
+)
+def test_unknown_experiment_exits_2_before_anything_runs(module, argv, capsys):
+    """Every CLI that takes experiment names validates all of them first:
+    one message on stderr, exit 2, and no experiment output."""
+    main = importlib.import_module(module).main
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"unknown experiment 'nope'; available: {', '.join(sorted(REGISTRY))}\n"
+    )

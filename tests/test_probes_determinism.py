@@ -10,6 +10,7 @@ Figure 10 point and what the instrumented run observed."""
 from repro import experiments
 from repro.experiments.fig10_coalescing import COALESCE, latency_per_byte
 from repro.probes.tracepoints import attached
+from repro.sanitizers.gsan import GSanPlan
 
 from tests.test_determinism_matrix import attach_everything
 
@@ -17,7 +18,7 @@ from tests.test_determinism_matrix import attach_everything
 class TestObserverDeterminism:
     def test_fig10_point_byte_identical(self):
         bare = latency_per_byte(1024, COALESCE)
-        with attached(attach_everything):
+        with attached(attach_everything, GSanPlan()):
             probed = latency_per_byte(1024, COALESCE)
         assert probed == bare
 
@@ -25,7 +26,7 @@ class TestObserverDeterminism:
         """Guard against vacuous determinism: the instrumented run must
         really have delivered events."""
         captured = []
-        with attached(attach_everything, captured.append):
+        with attached(attach_everything, GSanPlan(), captured.append):
             experiments.run("fig2")
         assert captured
         registry = captured[0]

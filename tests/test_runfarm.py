@@ -3,8 +3,8 @@
 The farm's contract is that parallelism is *invisible* in the results:
 the merged output is a pure function of the job list, identical for
 1/2/4 workers and for any completion order, and a farmed chaos matrix
-reproduces the serial ``repro.faults.chaos.run_matrix`` fault streams
-exactly.
+reproduces, cell for cell, the reports of serial
+``repro.faults.chaos.run_one`` calls.
 """
 
 import pytest
@@ -138,8 +138,9 @@ class TestRunFrontier:
 class TestChaosFarm:
     def test_farmed_matrix_reproduces_serial_fault_streams(self):
         serial = {
-            (report.experiment, report.seed): report.as_dict()
-            for report in chaos.run_matrix(list(EXPERIMENTS), list(SEEDS))
+            (experiment, seed): chaos.run_one(experiment, seed).as_dict()
+            for experiment in EXPERIMENTS
+            for seed in SEEDS
         }
         for workers in (1, 2, 4):
             farmed = run_chaos_matrix(EXPERIMENTS, SEEDS, workers=workers)

@@ -13,6 +13,7 @@ from repro import experiments
 from repro.core.invocation import Granularity
 from repro.machine import small_machine
 from repro.probes.tracepoints import attached
+from repro.sanitizers import cli as sanitizers_cli
 from repro.sanitizers.gsan import (
     AGENTS,
     GSAN_SNAPSHOT_SCHEMA,
@@ -23,8 +24,8 @@ from repro.sanitizers.gsan import (
 from repro.system import System
 
 # A representative slice of the sweep; the full 20-experiment pass is
-# ``python -m repro.sanitizers check`` (CI) — fig13a is in the slice
-# because its submit-fire lag once produced false positives.
+# the ``all`` row of ``tests/test_determinism_matrix.py`` — fig13a is in
+# the slice because its submit-fire lag once produced false positives.
 SAMPLE_EXPERIMENTS = ["fig2", "fig7", "fig13a"]
 
 
@@ -42,6 +43,10 @@ class TestLiveObserver:
         assert sanitized == bare_render(name)
         assert plan.finish() == []
         assert plan.events > 0
+
+    def test_check_command_passes(self, capsys):
+        assert sanitizers_cli.main(["check", "--experiments", "fig2"]) == 0
+        assert "ok   fig2: byte-identical" in capsys.readouterr().out
 
     def test_small_kernel_clean_with_events(self):
         system = System(config=small_machine())
