@@ -29,7 +29,16 @@ from repro.core.invocation import (
     syscall_kind,
 )
 from repro.core.syscall_area import Slot, SlotState
-from repro.gpu.ops import Atomic, Barrier, Do, L1Flush, MemWrite, Sleep, WaitAll
+from repro.gpu.ops import (
+    Atomic,
+    Barrier,
+    Do,
+    L1Flush,
+    MemWrite,
+    PollSleep,
+    Sleep,
+    WaitAll,
+)
 from repro.memory.buffers import Buffer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,6 +86,7 @@ class _SlotOps:
         "raise_irq",
         "poll_load",
         "read_state",
+        "completion_sleep",
         "get_completion",
         "consume",
         "pending_request",
@@ -100,6 +110,15 @@ class _SlotOps:
         self.raise_irq = Do(lambda: genesys.raise_interrupt(hw_id, slot))
         self.poll_load = Atomic("atomic-load", slot.addr)
         self.read_state = Do(lambda: slot.state)
+        # The completion poll's sleep carries the line ``poll_load``
+        # touches, computed with the memory system's line size exactly
+        # as gpu_atomic computes it.
+        self.completion_sleep = PollSleep(
+            cfg.poll_interval_ns,
+            slot,
+            slot.addr // genesys.memsystem.config.cacheline_bytes,
+            SlotState.FINISHED,
+        )
         self.get_completion = Do(lambda: slot.completion)
         self.consume = Do(slot.consume)
         # The one per-invocation variable in the protocol is the request
@@ -330,7 +349,7 @@ class DeviceApi:
                     state = yield ops.read_state
                     if state is SlotState.FINISHED:
                         break
-                    yield ops.poll_sleep
+                    yield ops.completion_sleep
             else:
                 completion = yield ops.get_completion
                 yield WaitAll([completion])

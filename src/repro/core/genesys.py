@@ -23,7 +23,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.coalescing import CoalescingConfig, Coalescer
-from repro.core.invocation import Granularity, SyscallRequest, WaitMode
+from repro.core.invocation import Granularity, WaitMode
 from repro.core.syscall_area import Slot, SlotState, SyscallArea
 from repro.gpu.device import Gpu
 from repro.gpu.hierarchy import WorkItemCtx

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 
 @dataclass

@@ -21,9 +21,12 @@ Invariants checked after every run (:func:`check_invariants`):
 * **no duplicate or lost completions** — ``issued ==
   syscalls_completed + slots_reclaimed`` exactly,
 * **drained queues** — the workqueue has no backlog or in-flight tasks,
-* **bounded termination** — the run finishes under a simulated-time
-  drain deadline (enforced by ``System.drain_timeout_ns``; a wedge the
-  watchdog cannot clear surfaces as ``DrainTimeout``, not a hang).
+* **bounded drain** — once the scenario's kernel has returned, the
+  drain of outstanding syscalls finishes within a simulated-time
+  deadline (``System.drain_timeout_ns``, which bounds only
+  ``Genesys.drain`` after the kernel, not the kernel itself; a wedge
+  the watchdog cannot clear there surfaces as ``DrainTimeout``, not a
+  hang).
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from repro.faults.plan import FaultInjector, FaultPlan, install_plan
 from repro.oskernel.workqueue import DrainTimeout
 from repro.system import System
 
-#: Liveness bound for chaos runs, in simulated ns.  Generous: the
-#: faulted workloads finish in a few hundred microseconds; a run that
-#: needs two simulated seconds is wedged.
+#: Deadline for the post-kernel drain of chaos runs, in simulated ns
+#: (``System.drain_timeout_ns``).  Generous: the faulted workloads
+#: finish in a few hundred microseconds; a drain that needs two
+#: simulated seconds is wedged.
 DEFAULT_DRAIN_TIMEOUT_NS = 2_000_000_000.0
 
 ECHO_PORT = 7777

@@ -168,7 +168,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--drain-timeout-ns",
         type=float,
         default=DEFAULT_DRAIN_TIMEOUT_NS,
-        help="simulated-time liveness bound per run",
+        help="simulated-time deadline for each run's drain of outstanding "
+        "syscalls after its kernel (the kernel itself is not bounded)",
     )
     chaos.add_argument(
         "--gsan",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import ceil
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.gpu.compute_unit import ComputeUnit
 from repro.gpu.hierarchy import KernelInstance, WorkGroup, WorkItemCtx
@@ -195,7 +195,9 @@ class Gpu:
             self.utilization.busy()
             self.live_wavefronts += 1
             self._note_occupancy()
-            self.sim.process(wavefront.run(), name=f"wf:{wavefront.hw_id}")
+            wavefront.process = self.sim.process(
+                wavefront.run(), name=f"wf:{wavefront.hw_id}"
+            )
 
     def _note_occupancy(self) -> None:
         if self.tp_wf_occupancy.enabled:

@@ -31,7 +31,8 @@ from repro.sim.engine import Event
     OP_LDS_READ,
     OP_LDS_WRITE,
     OP_L1_FLUSH,
-) = range(12)
+    OP_POLL_SLEEP,
+) = range(13)
 
 
 class Op:
@@ -126,6 +127,31 @@ class Sleep(Op):
 
     def __repr__(self) -> str:
         return f"Sleep({self.duration})"
+
+
+class PollSleep(Sleep):
+    """The sleep between two completion polls of one syscall slot.
+
+    The device API's ``WaitMode.POLL`` loop yields it in a fixed cycle:
+    an ``atomic-load`` of the slot's line, a read of ``slot.state``, and
+    this sleep, until the state is ``done``.  A lane yielding it is
+    promising that cycle, which lets a wavefront whose only runnable
+    lane it is run the rounds as engine callbacks (see
+    :class:`~repro.gpu.wavefront.Wavefront`) while charging each one.
+    Anywhere else it sleeps like :class:`Sleep`.
+    """
+
+    __slots__ = ("slot", "line", "done")
+    opcode = OP_POLL_SLEEP
+
+    def __init__(self, duration: float, slot: Any, line: int, done: Any):
+        super().__init__(duration)
+        self.slot = slot
+        self.line = line
+        self.done = done
+
+    def __repr__(self) -> str:
+        return f"PollSleep({self.duration}, line={self.line})"
 
 
 class Do(Op):

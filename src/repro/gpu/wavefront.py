@@ -14,6 +14,15 @@ paper's motivation for non-blocking syscalls.
 
 The step loop branches on each op's class-level ``opcode`` (most
 frequent kinds first) rather than an ``isinstance`` chain.
+
+When a wavefront's only runnable lane sleeps in a syscall's completion
+poll (a :class:`~repro.gpu.ops.PollSleep`), the wavefront parks and a
+:class:`_PollChain` runs the poll rounds as engine callbacks: each
+round still charges its atomic-load, touches the L2 line and counts its
+lockstep steps, and each callback is scheduled at the moment and in the
+order the wavefront's own heap entry would have been.  The wavefront
+resumes inline, in that heap position, once a read sees the slot done
+or the atomic misses the L2.
 """
 
 from __future__ import annotations
@@ -32,11 +41,13 @@ from repro.gpu.ops import (
     OP_MEM_READ,
     OP_MEM_WRITE,
     OP_NONE,
+    OP_POLL_SLEEP,
     OP_SLEEP,
     OP_WAIT_ALL,
     Op,
+    PollSleep,
 )
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Process, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Gpu
@@ -85,6 +96,121 @@ class _Lane:
         self.finished = False
 
 
+#: How a :class:`_PollChain` hands its wavefront back: the last read
+#: saw the slot done, or the last atomic-load missed the L2.
+_POLL_DONE = "done"
+_POLL_MISS = "miss"
+
+
+class _PollChain:
+    """A parked wavefront's completion-poll rounds, run as callbacks.
+
+    One round of the reference step loop is three lockstep steps: the
+    atomic-load (charged at the wake, its L2 access at the *touch*
+    ``atomic_latency_ns["atomic-load"]`` later), the state read and the
+    sleep of ``poll_interval_ns`` at that same instant.  The chain runs
+    the same steps with no generator resume: each wait goes through
+    :meth:`Simulator.try_advance` exactly where the step loop would
+    yield, and when that declines, the one handle is (re-)armed at the
+    same absolute time, its ``seq`` drawn at the same moment as the
+    reference entry's.  A sleep continuing in place is exact too, since
+    the wavefront's ``yield`` would be the next entry popped.
+
+    One chain serves one park; it drops its handle at hand-back, so it
+    holds no reference cycle and is freed as soon as the park ends.
+    """
+
+    __slots__ = (
+        "sim", "process", "parked", "try_advance", "charge", "access", "slot",
+        "line", "done", "interval", "handle", "at_touch", "steps",
+    )
+
+    def __init__(self, wavefront: "Wavefront", op: PollSleep) -> None:
+        sim = wavefront.sim
+        mem = wavefront.gpu.memsystem
+        self.sim = sim
+        self.process = wavefront.process
+        #: Never triggered: the wavefront waits on it while parked and
+        #: is resumed inline by :meth:`Simulator.resume`.
+        self.parked = Event(sim, name="poll-park")
+        # Bound once per park: a round calls each of them.
+        self.try_advance = sim.try_advance
+        self.charge = mem.atomics.charge
+        self.access = mem.l2.access
+        self.slot = op.slot
+        self.line = op.line
+        self.done = op.done
+        self.interval = op.duration
+        self.handle: Any = None
+        self.at_touch = False
+        #: Lockstep steps run after the sleep ``op`` (itself a step the
+        #: step loop counted).
+        self.steps = 0
+
+    def start(self) -> Optional[str]:
+        """Sleep, then run rounds until one hands the wavefront back.
+
+        Returns how it is handed back, or ``None`` once a callback is
+        armed and the wavefront must park on :attr:`parked`.
+        """
+        sim = self.sim
+        interval = self.interval
+        if interval and not self.try_advance(interval):
+            self.handle = sim.call_at(sim.now + interval, self._rounds)
+            return None
+        return self._rounds()
+
+    def _rounds(self) -> Optional[str]:
+        """Run rounds from the wake (or the touch, if :attr:`at_touch`).
+
+        Also the armed callback.  At a hand-back it returns the outcome
+        when it runs inline from :meth:`start` (nothing armed yet), and
+        otherwise resumes the parked wavefront itself.
+        """
+        sim = self.sim
+        try_advance = self.try_advance
+        steps = self.steps
+        at_touch = self.at_touch
+        while True:
+            if not at_touch:
+                # The wake: the atomic-load step.
+                steps += 1
+                latency = self.charge("atomic-load")
+                if not try_advance(latency):
+                    when = sim.now + latency
+                    at_touch = True
+                    break
+            # The touch: the atomic's L2 access, then the state read.
+            at_touch = False
+            if not self.access(self.line):
+                return self._hand_back(steps, _POLL_MISS)
+            steps += 1
+            if self.slot.state is self.done:
+                return self._hand_back(steps, _POLL_DONE)
+            steps += 1  # the sleep
+            interval = self.interval
+            if interval and not try_advance(interval):
+                when = sim.now + interval
+                break
+        self.steps = steps
+        self.at_touch = at_touch
+        if self.handle is None:
+            self.handle = sim.call_at(when, self._rounds)
+        else:
+            sim.rearm(self.handle, when)
+        return None
+
+    def _hand_back(self, steps: int, outcome: str) -> Optional[str]:
+        """Return ``outcome`` to :meth:`start`, or resume the parked
+        wavefront with it from the callback."""
+        self.steps = steps
+        if self.handle is None:
+            return outcome
+        self.handle = None  # no cycle back through the handle's callback
+        self.sim.resume(self.process, outcome)
+        return None
+
+
 class Wavefront:
     """A hardware-scheduled lockstep group of work-items."""
 
@@ -111,6 +237,9 @@ class Wavefront:
         self.steps = 0
         self.lane_ops = 0
         self.divergent_steps = 0
+        #: The process running :meth:`run` (set by the device at spawn);
+        #: a parked poll chain resumes it.
+        self.process: Optional[Process] = None
 
     @property
     def simd_efficiency(self) -> float:
@@ -153,6 +282,7 @@ class Wavefront:
                 atomic_ops: Optional[List[Op]] = None
                 flush_ops: Optional[List[Op]] = None
                 lds_ops: Optional[List[Op]] = None
+                poll: Optional[PollSleep] = None
                 lanes_changed = False
                 for lane in runnable:
                     try:
@@ -191,6 +321,11 @@ class Wavefront:
                     elif code == OP_SLEEP:
                         if op.duration > compute_ns:
                             compute_ns = op.duration
+                    elif code == OP_POLL_SLEEP:
+                        if len(runnable) == 1 and self.sim.tie_break is None:
+                            poll = op
+                        elif op.duration > compute_ns:
+                            compute_ns = op.duration
                     elif code == OP_WAIT_ALL:
                         lane.blocked_on = all_events(self.sim, op.events)
                         lane.needs_resume = True
@@ -208,6 +343,9 @@ class Wavefront:
                     else:
                         raise TypeError(f"work-item yielded non-op {op!r}")
 
+                if poll is not None and not lanes_changed:
+                    yield from self._poll(poll, runnable[0], len(live) > 1)
+                    continue
                 if compute_ns:
                     yield compute_ns
                 if lds_ops is not None:
@@ -231,9 +369,37 @@ class Wavefront:
                     if tp_runnable.enabled:
                         tp_runnable.fire(self.hw_id, len(runnable), len(live))
         finally:
+            # Retired wavefronts outlive their process in reference
+            # cycles (work-item context <-> device API); keep it from
+            # pinning the finished process too.
+            self.process = None
             self.gpu.wavefront_finished(self)
 
     # -- internals ---------------------------------------------------------
+
+    def _poll(self, op: PollSleep, lane: _Lane, divergent: bool) -> Generator:
+        """The lone runnable ``lane`` sleeps in its completion poll: run
+        the rounds as a :class:`_PollChain`, parked if they must wait,
+        then step the lane to where the step loop would have it.
+
+        Other lanes stay blocked throughout: ``runnable`` is rebuilt only
+        when lanes change or after :meth:`_wait_for_wake`.  Parking is
+        not a halt, so the occupancy gauges do not move.
+        """
+        chain = _PollChain(self, op)
+        outcome = chain.start()
+        if outcome is None:
+            outcome = yield chain.parked
+        steps = chain.steps
+        self.steps += steps
+        self.lane_ops += steps
+        if divergent:
+            self.divergent_steps += steps
+        lane.gen.send(None)  # the atomic-load
+        if outcome is _POLL_MISS:
+            yield from self.gpu.memsystem.gpu_atomic_fill()
+        else:
+            lane.inbox = lane.gen.send(None).action()  # the state read
 
     def _lds_time(self, lds_ops: List[Op]) -> float:
         """LDS access time for one lockstep step: the max per-bank

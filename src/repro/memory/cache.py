@@ -10,7 +10,7 @@ set of syscall-slot lines fits in the L2.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.machine import CACHELINE_BYTES

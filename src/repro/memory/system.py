@@ -117,7 +117,12 @@ class MemorySystem:
         if not self.sim.try_advance(latency):
             yield latency
         if not self.l2.access(line):
-            yield from self.dram.gpu_access(self.config.cacheline_bytes)
+            yield from self.gpu_atomic_fill()
+
+    def gpu_atomic_fill(self) -> Generator:
+        """The L2-miss tail of :meth:`gpu_atomic`: the line comes in
+        through the shared DRAM channel."""
+        return self.dram.gpu_access(self.config.cacheline_bytes)
 
     def gpu_load_uncached(self, addr: int) -> Generator:
         """Timed L1-bypassing plain load (Table IV's 'load' baseline).

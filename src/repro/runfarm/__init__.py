@@ -204,8 +204,9 @@ def _chaos_cell(
 
     With ``gsan=True`` the cell runs under a fresh GSan per built
     System; the report grows a ``gsan`` section and any race the
-    sanitizer finds fails the cell.  ``drain_timeout_ns`` defaults to
-    the chaos runner's liveness bound.
+    sanitizer finds fails the cell.  ``drain_timeout_ns`` (the deadline
+    for the drain after the kernel, not for the whole run) defaults to
+    the chaos runner's.
     """
     from repro.faults import chaos
 

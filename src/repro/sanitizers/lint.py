@@ -35,13 +35,17 @@ SCHED001   ``heapq`` mutation of, or direct assignment to, a
            bypass the ``Simulator.tie_break`` hook, so the model
            checker cannot reorder them and a schedule certificate
            replayed over them diverges; schedule through the engine's
-           public API instead
+           public API instead.  ``heapq`` functions count however they
+           were imported (module, alias, or ``from heapq import``)
+IMP001     a module-level import whose bound name is never referenced
+           (string annotations and ``__all__`` entries count as uses)
 =========  ==============================================================
 
 Determinism rules (DET*) apply only inside the *deterministic zones*
 — ``sim/``, ``core/``, ``oskernel/`` — where simulated behaviour
 lives; reporting/CLI layers may legitimately timestamp things.  The
-registry, errno, and ``__slots__`` rules apply everywhere.
+registry, errno, ``__slots__``, scheduling and import rules apply
+everywhere.
 
 A finding can be suppressed in place with ``# lint: allow`` (any
 rule) or ``# lint: allow(DET003)`` on the offending line.
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.sanitizers.astutil import check_fire_sites, iter_py_files, parse_file
 
@@ -419,6 +423,36 @@ def _is_heap_attribute(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "_heap"
 
 
+def _heapq_bindings(tree: ast.Module) -> Dict[str, Optional[str]]:
+    """Names bound by imports from ``heapq``: a module alias maps to
+    ``None`` (``import heapq as hq``), a function name or its ``as``
+    alias to the function (``from heapq import heappush as push``)."""
+    bound: Dict[str, Optional[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "heapq":
+                    bound[alias.asname or "heapq"] = None
+        elif isinstance(node, ast.ImportFrom) and node.module == "heapq":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = alias.name
+    return bound
+
+
+def _heapq_mutator(func: ast.AST, bound: Dict[str, Optional[str]]) -> Optional[str]:
+    """The ``heapq`` mutator a call's ``func`` resolves to, if any."""
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        if func.value.id in bound and bound[func.value.id] is None:
+            name: Optional[str] = func.attr
+        else:
+            return None
+    elif isinstance(func, ast.Name):
+        name = bound.get(func.id)
+    else:
+        return None
+    return name if name in _HEAPQ_MUTATORS else None
+
+
 def _check_sched(tree: ast.Module, zone: _Zone) -> None:
     """SCHED001: event-heap mutation that bypasses the tie-break hook.
 
@@ -430,8 +464,11 @@ def _check_sched(tree: ast.Module, zone: _Zone) -> None:
     ``sim/engine.py`` itself may touch the heap (the checker is not run
     over it); anything else must go through ``call_later``/``call_at``/
     ``process`` — or carry an explicit pragma when mutating a *quiesced*
-    heap, as snapshot restore does.
+    heap, as snapshot restore does.  ``heapq`` functions are recognised
+    however they were imported: ``heapq.heappush``, a module alias, or
+    a bare or ``as``-aliased name from ``from heapq import ...``.
     """
+    bound = _heapq_bindings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
             for target in node.targets:
@@ -450,16 +487,12 @@ def _check_sched(tree: ast.Module, zone: _Zone) -> None:
                 )
         elif isinstance(node, ast.Call):
             func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "heapq"
-                and func.attr in _HEAPQ_MUTATORS
-            ):
+            mutator = _heapq_mutator(func, bound)
+            if mutator is not None:
                 if any(_is_heap_attribute(arg) for arg in node.args):
                     zone.flag(
                         "SCHED001", node,
-                        f"heapq.{func.attr} on a simulator _heap bypasses "
+                        f"heapq.{mutator} on a simulator _heap bypasses "
                         "the tie-break hook; schedule via the engine API",
                     )
             elif (
@@ -472,6 +505,73 @@ def _check_sched(tree: ast.Module, zone: _Zone) -> None:
                     f"_heap.{func.attr}(...) mutates the event heap behind "
                     "the tie-break hook; schedule via the engine API",
                 )
+
+
+def _module_imports(tree: ast.Module) -> List[Tuple[str, ast.stmt]]:
+    """``(bound name, statement)`` for every import at module level,
+    including inside module-level ``if``/``try`` blocks (such as
+    ``if TYPE_CHECKING:``), but not inside functions or classes."""
+    found: List[Tuple[str, ast.stmt]] = []
+    todo: List[ast.stmt] = list(tree.body)
+    while todo:
+        node = todo.pop(0)
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.append((alias.asname or alias.name.split(".")[0], node))
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    found.append((alias.asname or alias.name, node))
+        elif isinstance(node, (ast.If, ast.Try)):
+            todo.extend(node.body)
+            todo.extend(node.orelse)
+            if isinstance(node, ast.Try):
+                for handler in node.handlers:
+                    todo.extend(handler.body)
+                todo.extend(node.finalbody)
+    return found
+
+
+def _string_names(text: str) -> Set[str]:
+    """Names referenced by a string annotation (``"Optional[Gpu]"``)."""
+    try:
+        expr = ast.parse(text, mode="eval")
+    except SyntaxError:
+        return set()
+    return {node.id for node in ast.walk(expr) if isinstance(node, ast.Name)}
+
+
+def _referenced_names(tree: ast.Module) -> Set[str]:
+    """Every name a module reads: plain loads, the roots of attribute
+    chains, names inside string constants that parse as expressions
+    (string annotations) and the entries of ``__all__``."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= _string_names(node.value)
+    return names
+
+
+def _check_imports(tree: ast.Module, zone: _Zone) -> None:
+    """IMP001: a module-level import whose bound name is never used.
+
+    An unused import is dead weight at best and at worst a stale
+    dependency that hides a layering change or an import cycle.  A
+    name counts as used if anything in the module reads it, including
+    a string annotation or a ``__all__`` entry (a re-export).  An
+    import kept only for its side effects carries a pragma.
+    """
+    imports = _module_imports(tree)
+    if not imports:
+        return
+    used = _referenced_names(tree)
+    for name, node in imports:
+        if name not in used:
+            zone.flag("IMP001", node, f"{name!r} is imported but never used")
 
 
 def run_lint(
@@ -508,6 +608,7 @@ def run_lint(
         _check_slots(tree, zone)
         if not (file.name == "engine.py" and "sim" in file.parts):
             _check_sched(tree, zone)
+        _check_imports(tree, zone)
 
     # TP001/TP002: registry cross-check over the same file set.
     problems, _, _ = check_fire_sites(files)

@@ -21,6 +21,11 @@ A process about to yield a plain delay may first call
 delay ends, the clock moves in place and the process continues without
 a heap round trip — the same resume time, in the same order.
 
+A callback standing in for a parked process's own steps (the GPU's
+completion-poll rounds) re-schedules itself with :meth:`Simulator.rearm`
+and hands control back with :meth:`Simulator.resume`, which runs the
+process inline, in the callback's heap position.
+
 Internals are event-driven and allocation-lean: combinators register
 direct callbacks on their children instead of spawning one watcher
 process per item, waiter bookkeeping is O(1) amortised (tombstones plus
@@ -511,6 +516,24 @@ class Simulator:
         heapq.heappush(self._heap, (when, self._seq, None, handle, None))
         return handle
 
+    def rearm(self, handle: _TimerHandle, when: float) -> None:
+        """Schedule ``handle``'s callback again at absolute time ``when``.
+
+        For a callback that re-schedules itself round after round: the
+        handle from :meth:`call_at` or :meth:`call_later` is reused, so a
+        round allocates nothing.  The entry draws its ``seq`` now, so it
+        sorts among same-time entries exactly as a fresh :meth:`call_at`
+        made at this moment would.  The handle must not already be in the
+        heap (it has run and was not re-armed since), and must be live: a
+        cancelled handle, or a weak one that has run, cannot be re-armed.
+        """
+        if handle.fn is None:
+            raise SimulationError("cannot re-arm a cancelled or spent handle")
+        if when < self.now:
+            when = self.now
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, None, handle, None))
+
     def _make_handle(self, fn: Callable[[], None], weak: bool) -> _TimerHandle:
         if weak:
             self.weak_scheduled += 1
@@ -573,6 +596,32 @@ class Simulator:
             return False
         self.now = when
         return True
+
+    def resume(self, proc: Process, value: Any = None) -> None:
+        """Resume ``proc``, parked on an untriggered event, inline now.
+
+        For a callback that runs in the heap position the process's own
+        entry would have held: the process continues before the callback
+        returns, so it runs ahead of every entry already queued for this
+        instant.  :meth:`Event.succeed` would instead queue it behind
+        them.  ``value`` becomes the value of the process's ``yield``.
+        """
+        event = proc._waiting_on
+        if proc.finished or event is None or event.triggered:
+            raise SimulationError(
+                f"process {proc.name!r} is not parked on a pending event"
+            )
+        event._discard_waiter(proc)
+        proc._waiting_on = None
+        try:
+            target = proc.generator.send(value)
+        except StopIteration as stop:
+            self._finish(proc, stop.value)
+            return
+        except Interrupted:
+            self._finish(proc, None)
+            return
+        self._wait_on(proc, target)
 
     # -- execution -----------------------------------------------------
 

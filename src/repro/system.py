@@ -21,7 +21,6 @@ from repro.machine import MachineConfig
 from repro.memory.system import MemorySystem
 from repro.oskernel.cpu import CpuComplex
 from repro.oskernel.linux import LinuxKernel
-from repro.oskernel.process import OsProcess
 from repro.probes.tracepoints import ProbeRegistry, apply_attached
 from repro.sim.engine import Process, Simulator
 

@@ -21,7 +21,7 @@ CPU to service system calls (Figure 14's utilisation traces).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Tuple
+from typing import Dict, Generator, List
 
 from repro.core.invocation import Granularity, Ordering, WaitMode
 from repro.gpu.ops import Compute

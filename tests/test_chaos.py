@@ -19,7 +19,6 @@ import json
 
 import pytest
 
-from repro.core.syscall_area import SlotState
 from repro.faults import chaos
 from repro.faults import cli as faults_cli
 from repro.faults import (

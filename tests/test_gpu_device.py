@@ -15,6 +15,7 @@ from repro.gpu.ops import (
     MemRead,
     MemWrite,
     Op,
+    PollSleep,
     Sleep,
     WaitAll,
 )
@@ -315,6 +316,8 @@ SAMPLE_OPS = {
     Atomic: lambda sim: Atomic("swap", 0x2000),
     Barrier: lambda sim: Barrier(),
     Sleep: lambda sim: Sleep(5),
+    # Two lanes poll, so the wavefront sleeps it like a Sleep.
+    PollSleep: lambda sim: PollSleep(5, object(), 0x30, "done"),
     Do: lambda sim: Do(lambda: "done"),
     WaitAll: lambda sim: WaitAll([sim.event().succeed()]),
     LdsRead: lambda sim: LdsRead(0),

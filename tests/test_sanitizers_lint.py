@@ -39,6 +39,8 @@ class TestHazardFixtures:
             ("slot001_missing_slots.py", "SLOT001"),
             ("sim/slot002_unpicklable_state.py", "SLOT002"),
             ("sched001_direct_heap.py", "SCHED001"),
+            ("sched001_heapq_imports.py", "SCHED001"),
+            ("imp001_unused_import.py", "IMP001"),
         ],
     )
     def test_each_hazard_class_is_caught(self, fixture, code):
@@ -99,6 +101,29 @@ class TestHazardFixtures:
         # Exactly the six hazards in bad(); fine() uses the engine API,
         # a non-_heap heapq push, a pragma, and a read.
         assert len(sched) == 6, "\n".join(f.render() for f in sched)
+        # The same mutators imported by bare name, ``as`` alias or
+        # module alias: exactly the four calls in bad().
+        aliased = FIXTURES / "sched001_heapq_imports.py"
+        sched = [f for f in run_lint([aliased]) if f.code == "SCHED001"]
+        text = aliased.read_text().splitlines()
+        expected = [
+            number
+            for number, line in enumerate(text, start=1)
+            if "# finding:" in line
+        ]
+        assert [f.line for f in sched] == expected, "\n".join(
+            f.render() for f in sched
+        )
+
+    def test_imp001_flags_exactly_the_unread_imports(self):
+        fixture = FIXTURES / "imp001_unused_import.py"
+        findings = [f for f in run_lint([fixture]) if f.code == "IMP001"]
+        # json, deque and Fraction.  A __future__ import, a string
+        # annotation, an __all__ entry, an attribute chain's root, a
+        # pragma and a function-level import are all fine.
+        assert sorted(f.message.split("'")[1] for f in findings) == [
+            "Fraction", "deque", "json",
+        ], "\n".join(f.render() for f in findings)
 
     def test_sched001_applies_outside_determinism_zones(self):
         # Unlike DET*, heap mutation is a finding anywhere — a plugin
@@ -120,7 +145,7 @@ class TestHazardFixtures:
         codes = {f.code for f in findings}
         assert codes >= {
             "DET001", "DET002", "DET003", "DET004",
-            "TP001", "TP002", "ERR001", "SLOT001", "SCHED001",
+            "TP001", "TP002", "ERR001", "SLOT001", "SCHED001", "IMP001",
         }
         # Findings are sorted and carry renderable locations.
         rendered = [f.render() for f in findings]

@@ -481,3 +481,159 @@ class TestTryAdvanceConditions:
         assert sim.run(until=10) == 10
         assert results == [False, True]
         assert not sim.try_advance(1)
+
+
+class TestInlineResume:
+    """``Simulator.resume``: a callback hands control to a parked
+    process in the callback's own heap position."""
+
+    def _race(self, sim, wake):
+        order = []
+        parked = sim.event("park")
+
+        def sleeper():
+            value = yield parked
+            order.append(("sleeper", sim.now, value))
+
+        def other():
+            yield 5
+            order.append(("other", sim.now))
+
+        proc = sim.process(sleeper())
+        sim.run(until=0)  # the sleeper is parked
+        sim.call_at(5, lambda: wake(proc, parked))
+        sim.process(other())
+        sim.run(until=0)  # other's entry is queued for t=5, after the callback
+        sim.run()
+        return order
+
+    def test_resume_runs_before_same_time_entries_queued_earlier(self, sim):
+        order = self._race(sim, lambda proc, parked: sim.resume(proc, "go"))
+        assert order == [("sleeper", 5, "go"), ("other", 5)]
+
+    def test_event_succeed_queues_behind_them(self, sim):
+        order = self._race(sim, lambda proc, parked: parked.succeed("go"))
+        assert order == [("other", 5), ("sleeper", 5, "go")]
+
+    def test_resumed_process_keeps_waiting_and_finishing_normally(self, sim):
+        parked = sim.event("park")
+        seen = []
+
+        def body():
+            for _ in range(3):  # re-park on the same event every round
+                seen.append((yield parked))
+                yield 1
+            return "done"
+
+        proc = sim.process(body())
+        for when in (2, 4, 6):
+            sim.call_at(when, lambda when=when: sim.resume(proc, when))
+        sim.run()
+        assert seen == [2, 4, 6]
+        assert proc.finished and proc.result == "done"
+        assert sim.now == 7
+        assert not parked.triggered
+
+    def test_resume_respects_run_until(self, sim):
+        parked = sim.event("park")
+        seen = []
+
+        def body():
+            seen.append(((yield parked), sim.now))
+
+        proc = sim.process(body())
+        sim.call_at(8, lambda: sim.resume(proc, "late"))
+        assert sim.run(until=5) == 5
+        assert seen == []
+        sim.run()
+        assert seen == [("late", 8)]
+
+    def test_rejects_a_process_not_parked_on_a_pending_event(self, sim):
+        def sleeper():
+            yield 10
+
+        proc = sim.process(sleeper())
+        sim.run(until=1)
+        with pytest.raises(SimulationError):
+            sim.resume(proc)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.resume(proc)
+
+
+class TestRearm:
+    """``Simulator.rearm``: one handle scheduled again round after round."""
+
+    def test_rearmed_handle_sorts_by_the_seq_drawn_at_rearm(self, sim):
+        order = []
+        fires = []
+
+        def tick():
+            fires.append(sim.now)
+            order.append(("tick", sim.now))
+            if len(fires) == 1:
+                sim.call_at(4, lambda: order.append(("before", sim.now)))
+                sim.rearm(handle, 4)
+                sim.call_at(4, lambda: order.append(("after", sim.now)))
+
+        handle = sim.call_at(2, tick)
+        sim.run()
+        assert order == [
+            ("tick", 2), ("before", 4), ("tick", 4), ("after", 4),
+        ]
+        assert sim._seq == 4  # one entry per schedule, no fresh handle
+
+    def test_rearm_matches_a_fresh_call_at_at_the_same_moment(self, sim):
+        def trace(use_rearm):
+            sim = Simulator()
+            order = []
+            cell = []
+
+            def tick():
+                order.append(("tick", sim.now))
+                if sim.now < 3:
+                    sim.call_at(sim.now + 1, lambda: order.append(("peer", sim.now)))
+                    if use_rearm:
+                        sim.rearm(cell[0], sim.now + 1)
+                    else:
+                        sim.call_at(sim.now + 1, tick)
+
+            cell.append(sim.call_at(1, tick))
+            sim.run()
+            return order
+
+        assert trace(True) == trace(False)
+
+    def test_rearm_respects_run_until(self, sim):
+        fires = []
+
+        def tick():
+            fires.append(sim.now)
+            if len(fires) < 3:
+                sim.rearm(handle, sim.now + 5)
+
+        handle = sim.call_later(5, tick)
+        assert sim.run(until=12) == 12
+        assert fires == [5, 10]
+        sim.run()
+        assert fires == [5, 10, 15]
+
+    def test_rearm_clamps_to_now_and_rejects_dead_handles(self, sim):
+        fires = []
+
+        def tick():
+            fires.append(sim.now)
+            if len(fires) == 1:
+                sim.rearm(handle, sim.now - 3)
+
+        handle = sim.call_at(4, tick)
+        sim.run()
+        assert fires == [4, 4]
+        handle.fn = None  # cancelled
+        with pytest.raises(SimulationError):
+            sim.rearm(handle, 10)
+        weak = sim.call_later(1, lambda: None, weak=True)
+        sim.call_later(2, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.rearm(weak, 10)  # a weak handle is spent once it runs
